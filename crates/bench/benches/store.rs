@@ -6,7 +6,12 @@ use st_bench::synth::{generate, SynthSpec};
 use st_model::Micros;
 use st_query::pushdown::{read_pruned, ColumnSet};
 use st_query::Predicate;
-use st_store::StoreReader;
+use st_store::{BytesSegment, SegmentReader};
+
+/// Opens an in-memory image through the v2 reader (zero-copy source).
+fn open(bytes: &bytes::Bytes) -> SegmentReader {
+    SegmentReader::from_source(std::sync::Arc::new(BytesSegment::new(bytes.clone()))).unwrap()
+}
 
 fn bench_store(c: &mut Criterion) {
     let mut group = c.benchmark_group("store");
@@ -32,33 +37,25 @@ fn bench_store(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("deserialize", events),
             &bytes,
-            |b, bytes| {
-                b.iter(|| {
-                    StoreReader::from_bytes(bytes.clone())
-                        .unwrap()
-                        .read()
-                        .unwrap()
-                        .total_events()
-                })
-            },
+            |b, bytes| b.iter(|| open(bytes).read().unwrap().total_events()),
         );
+        let in_dir3 = Predicate::PathGlob("*/dir3*".to_string());
         group.bench_with_input(
             BenchmarkId::new("filtered_read", events),
             &bytes,
             |b, bytes| {
                 b.iter(|| {
-                    StoreReader::from_bytes(bytes.clone())
+                    read_pruned(&open(bytes), &in_dir3, ColumnSet::ALL)
                         .unwrap()
-                        .read_filtered("/dir3")
-                        .unwrap()
-                        .total_events()
+                        .stats
+                        .events_matched
                 })
             },
         );
         // Zone-map pushdown on a narrow time slice of an opened reader
         // (the directory parse happens once at open, like a real
         // inspection session).
-        let reader = StoreReader::from_bytes(bytes.clone()).unwrap();
+        let reader = open(&bytes);
         let window = Predicate::TimeWindow {
             from: Micros(0),
             to: Micros(500),

@@ -29,7 +29,7 @@ use st_core::prelude::*;
 use st_model::{Case, CaseMeta, EventLog, Interner, Micros};
 use st_query::pushdown::{read_pruned, read_pruned_par, ColumnSet};
 use st_query::{parse_expr, scan, scan_par, Predicate};
-use st_store::{SegmentReader, StoreBuilder, StoreReader};
+use st_store::{BytesSegment, SegmentReader, SegmentSource, StoreBuilder};
 use st_strace::{parse_par, parse_reader, parse_str};
 
 /// Reference DFG accumulation the dense path replaced: one ordered-map
@@ -78,6 +78,11 @@ impl<M: Mapping> Mapping for Unmemoized<M> {
 }
 
 /// Best-of-N wall time of `f` (minimum over repetitions).
+/// An in-memory container image as a zero-copy segment source.
+fn image_source(image: &bytes::Bytes) -> std::sync::Arc<dyn SegmentSource> {
+    std::sync::Arc::new(BytesSegment::new(image.clone()))
+}
+
 fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
     let mut best: Option<Duration> = None;
     let mut last = None;
@@ -245,7 +250,7 @@ fn main() {
     };
     let store_bytes =
         st_store::to_bytes_blocked(&pd_log, pd_block_events).expect("serialize store");
-    let reader = StoreReader::from_bytes(store_bytes.clone()).expect("open store");
+    let reader = SegmentReader::from_source(image_source(&store_bytes)).expect("open store");
     let t0 = pd_log.earliest_start().unwrap_or(Micros::ZERO);
     let t_end = pd_log
         .iter_events()
@@ -482,12 +487,12 @@ fn main() {
     // flip in the first block body — the same fault the CLI salvage
     // matrix row pins) and measures the recovery decode.
     let (strict_dt, strict_events) = time_best(reps, || {
-        let reader = StoreReader::from_bytes(store_bytes.clone()).expect("strict open");
+        let reader = SegmentReader::from_source(image_source(&store_bytes)).expect("strict open");
         reader.read().expect("strict read").total_events()
     });
     assert_eq!(strict_events, pd_events);
     let (salv_clean_dt, clean_events) = time_best(reps, || {
-        let salvaged = st_store::salvage_bytes(store_bytes.clone()).expect("salvage clean");
+        let salvaged = st_store::salvage_source(image_source(&store_bytes)).expect("salvage clean");
         assert!(salvaged.report.is_clean());
         salvaged.reader.read().expect("vetted read").total_events()
     });
@@ -506,7 +511,8 @@ fn main() {
         bytes::Bytes::from(image)
     };
     let (salv_bad_dt, degraded) = time_best(reps, || {
-        let salvaged = st_store::salvage_bytes(corrupt_image.clone()).expect("salvage degraded");
+        let salvaged =
+            st_store::salvage_source(image_source(&corrupt_image)).expect("salvage degraded");
         let recovered = salvaged.reader.read().expect("vetted read").total_events();
         assert_eq!(recovered as u64, salvaged.report.events_recovered);
         (
@@ -573,11 +579,10 @@ fn main() {
             session_dt.as_nanos() as f64 / 1e6,
         );
         source_rows.push(format!(
-            "{{\"kind\": \"{kind}\", \"open_ns\": {}, \"session_ns\": {}, \"events\": {matched}, \"supports_pushdown\": {}, \"supports_seek\": {}}}",
+            "{{\"kind\": \"{kind}\", \"open_ns\": {}, \"session_ns\": {}, \"events\": {matched}, \"supports_pushdown\": {}}}",
             open_dt.as_nanos(),
             session_dt.as_nanos(),
             source.supports_pushdown(),
-            source.supports_seek(),
         ));
     }
     let _ = std::fs::remove_dir_all(&src_dir);

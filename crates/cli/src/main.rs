@@ -1209,20 +1209,18 @@ fn cmd_fsck(tokens: &[String]) -> ExitCode {
     };
     // Vet through the seek reader so fsck never slurps the container:
     // each block is fetched by its exact extent. v1 containers have no
-    // directory to seek through — those fall back to the resident
-    // salvage reader.
+    // directory to vet and no per-block CRCs — a strict decode is their
+    // whole check.
     let path = std::path::Path::new(&store);
     let report = match st_store::open_salvage_seek(path) {
-        Ok(s) => s.report,
         Err(st_store::StoreError::Corrupt(st_store::CorruptKind::V1Seek)) => {
-            match st_store::open_salvage(path) {
-                Ok(s) => s.report,
-                Err(e) => {
-                    eprintln!("stinspect: fsck: {store}: unreadable: {e}");
-                    return ExitCode::from(4);
-                }
-            }
+            st_store::read_store(path)
+                .map(|log| st_store::SalvageReport::clean_v1(log.total_events() as u64))
         }
+        opened => opened.map(|s| s.report),
+    };
+    let report = match report {
+        Ok(report) => report,
         Err(e) => {
             eprintln!("stinspect: fsck: {store}: unreadable: {e}");
             return ExitCode::from(4);

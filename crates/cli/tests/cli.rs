@@ -1,6 +1,6 @@
 //! End-to-end tests of the `stinspect` binary.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn stinspect() -> Command {
@@ -982,7 +982,7 @@ fn diff_pushes_filters_into_v2_stores() {
     // for the zone maps to discriminate. Paper-scale stores carry many
     // blocks per case; 64-event blocks model that here.
     {
-        let log = st_store::StoreReader::open(&store).unwrap().read().unwrap();
+        let log = st_store::read_store(&store).unwrap();
         std::fs::write(&store, st_store::to_bytes_blocked(&log, 64).unwrap()).unwrap();
     }
     let argv = |extra: &[&str]| {
@@ -1139,6 +1139,56 @@ fn fsck_exit_codes_distinguish_clean_degraded_unreadable() {
     let out = stinspect().arg("fsck").output().unwrap();
     assert_eq!(out.status.code(), Some(2));
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fsck_and_salvage_fall_back_to_a_strict_v1_decode() {
+    // v1 containers have no block directory to vet: fsck and --salvage
+    // decode them strictly (once) and report them clean.
+    let fixture =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/v1_sample.stlog");
+    let out = stinspect().arg("fsck").arg(&fixture).output().unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!(
+            "fsck {}: STLOG v1\n  directory:  intact\n  blocks:     intact (section framing)\n  \
+             cases:      0\n  recovered:  0/0 blocks, 8/8 events (100.0% recoverable)\n\
+             verdict: clean\n",
+            fixture.display()
+        )
+    );
+
+    let plain = stinspect().arg("stats").arg(&fixture).output().unwrap();
+    let salvaged = stinspect()
+        .args(["--salvage", "--metrics", "stats"])
+        .arg(&fixture)
+        .output()
+        .unwrap();
+    assert!(plain.status.success() && salvaged.status.success());
+    assert_eq!(plain.stdout, salvaged.stdout);
+    let metrics = String::from_utf8_lossy(&salvaged.stderr);
+    assert_eq!(
+        metrics.matches("store.read").count(),
+        1,
+        "the container is decoded exactly once:\n{metrics}"
+    );
+
+    // A damaged v1 has no per-block CRCs to salvage from: unreadable.
+    let dir = tmpdir("fsck-v1");
+    let mut image = std::fs::read(&fixture).unwrap();
+    let at = image.len() - 8;
+    image[at] ^= 0x40;
+    let bad = dir.join("bad-v1.stlog");
+    std::fs::write(&bad, image).unwrap();
+    let out = stinspect().arg("fsck").arg(&bad).output().unwrap();
+    assert_eq!(out.status.code(), Some(4));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unreadable"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

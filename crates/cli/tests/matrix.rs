@@ -13,7 +13,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use st_store::{to_bytes_v1, StoreReader};
+use st_store::{read_store, to_bytes_v1};
 
 fn stinspect() -> Command {
     Command::new(env!("CARGO_BIN_EXE_stinspect"))
@@ -56,7 +56,7 @@ impl Fixture {
         let traces = dir.join("ls-traces");
         // The v1 container is written through the legacy encoder from the
         // identical log, so its event set matches the other kinds exactly.
-        let log = StoreReader::open(&v2).unwrap().read().unwrap();
+        let log = read_store(&v2).unwrap();
         let v1 = dir.join("ls-v1.stlog");
         std::fs::write(&v1, to_bytes_v1(&log).unwrap()).unwrap();
         // Any single trace file is a valid one-case input of its own.

@@ -1,4 +1,5 @@
-//! Predicate pushdown into the STLOG v2 store reader.
+//! Predicate pushdown into the STLOG v2 store reader
+//! ([`st_store::SegmentReader`]).
 //!
 //! Full-load querying decodes *every* column of *every* case into an
 //! [`EventLog`] before the first predicate is evaluated. This module is
@@ -93,23 +94,18 @@ enum PNode {
 
 impl PrunePlan {
     /// Lowers `pred` against the reader's string table and directory.
-    /// Works over any [`BlockRead`] — the resident `StoreReader` and
-    /// the out-of-core `SegmentReader` compile to the same plan.
-    ///
-    /// Returns `None` for v1 containers (no directory, nothing to push
-    /// into).
-    pub fn compile<R: BlockRead + ?Sized>(pred: &Predicate, reader: &R) -> Option<PrunePlan> {
-        let directory = reader.directory()?;
-        let epoch = directory
+    pub fn compile<R: BlockRead + ?Sized>(pred: &Predicate, reader: &R) -> PrunePlan {
+        let epoch = reader
+            .directory()
             .iter()
             .filter(|c| c.events > 0)
             .map(|c| c.start_min)
             .min()
             .unwrap_or(Micros::ZERO);
-        Some(PrunePlan {
+        PrunePlan {
             root: lower(pred, reader.strings(), epoch),
             epoch,
-        })
+        }
     }
 
     /// The trace epoch the plan rebased relative time windows against:
@@ -428,16 +424,15 @@ pub struct PushdownStats {
     pub bytes_decoded: u64,
     /// The reader's cumulative fetch counter after this read
     /// ([`BlockRead::bytes_read`]): bytes fetched from the underlying
-    /// medium since the reader was opened. A resident reader reports
-    /// its whole image regardless of pruning; a seek reader over a
-    /// fresh open reports head bytes plus exactly the surviving block
-    /// extents — the out-of-core win `bytes_decoded` alone cannot show.
+    /// medium since the reader was opened. Over a fresh open that is
+    /// head bytes plus exactly the surviving block extents — the
+    /// out-of-core win `bytes_decoded` alone cannot show.
     pub bytes_read: u64,
 }
 
 /// Result of [`read_pruned`]: the matching events as an owned log (the
 /// interner reproduces the container's symbol ids, exactly like
-/// [`st_store::StoreReader::read`]) plus the pruning accounting.
+/// [`st_store::SegmentReader::read`]) plus the pruning accounting.
 #[derive(Debug)]
 pub struct PrunedRead {
     /// Cases holding exactly the matching events, in container order;
@@ -577,12 +572,10 @@ fn decode_work_into<R: BlockRead + ?Sized>(
 /// onto `emit ∪ required ∪ identity` columns, with neutral defaults
 /// elsewhere. Pass [`ColumnSet::ALL`] for full-fidelity events.
 ///
-/// Works over any [`BlockRead`]: a resident `StoreReader` skips only
-/// decode work, an out-of-core `SegmentReader` additionally never
-/// fetches a pruned block's bytes from disk.
-///
-/// Fails with [`StoreError::Corrupt`] on v1 containers (no directory);
-/// callers fall back to `StoreReader::read` + [`crate::scan`] there.
+/// Works over any [`BlockRead`]; a pruned block's bytes are never
+/// fetched from the reader's source. v1 containers have no directory
+/// and cannot be opened as a [`BlockRead`]; decode them with
+/// [`st_store::read_store`] and narrow with [`crate::scan`] instead.
 pub fn read_pruned<R: BlockRead + ?Sized>(
     reader: &R,
     pred: &Predicate,
@@ -614,10 +607,8 @@ pub fn read_pruned_par<R: BlockRead + ?Sized>(
     threads: usize,
 ) -> Result<PrunedRead, StoreError> {
     let _span = st_obs::span!("query.pushdown");
-    let Some(plan) = PrunePlan::compile(pred, reader) else {
-        return Err(st_store::CorruptKind::V1Pushdown.into());
-    };
-    let directory = reader.directory().expect("compile succeeded on v2");
+    let plan = PrunePlan::compile(pred, reader);
+    let directory = reader.directory();
 
     let interner = Interner::new_shared();
     for s in reader.strings() {
@@ -807,7 +798,7 @@ mod tests {
     use super::*;
     use crate::{parse_expr, scan};
     use st_model::{Event, Pid};
-    use st_store::{to_bytes_blocked, StoreReader};
+    use st_store::{to_bytes_blocked, BytesSegment, SegmentReader};
     use std::sync::Arc;
 
     /// Two cases, time-ordered, with distinct path/pid/ok phases so
@@ -852,8 +843,12 @@ mod tests {
         log
     }
 
-    fn reader(block_events: usize) -> StoreReader {
-        StoreReader::from_bytes(to_bytes_blocked(&sample(), block_events).unwrap()).unwrap()
+    fn open_image(image: Vec<u8>) -> SegmentReader {
+        SegmentReader::from_source(Arc::new(BytesSegment::new(image.into()))).unwrap()
+    }
+
+    fn reader(block_events: usize) -> SegmentReader {
+        open_image(to_bytes_blocked(&sample(), block_events).unwrap().to_vec())
     }
 
     fn check_equals_scan(expr: &str, block_events: usize) -> PushdownStats {
@@ -932,10 +927,12 @@ mod tests {
         for expr in ["true", "path~\"*.h5\"", "ok=false", "cid=a or class=write"] {
             let pred = parse_expr(expr).unwrap();
             for blocks in [1, 7, 64] {
-                let r = reader(blocks);
-                let seq = read_pruned(&r, &pred, ColumnSet::ALL).unwrap();
+                // A fresh reader per read, so the cumulative fetch
+                // counter in the stats covers exactly that read.
+                let seq = read_pruned(&reader(blocks), &pred, ColumnSet::ALL).unwrap();
                 for threads in [2, 3, 8] {
-                    let par = read_pruned_par(&r, &pred, ColumnSet::ALL, threads).unwrap();
+                    let par =
+                        read_pruned_par(&reader(blocks), &pred, ColumnSet::ALL, threads).unwrap();
                     assert_eq!(seq.log.cases(), par.log.cases(), "{expr} x{threads}");
                     assert_eq!(
                         format!("{:?}", seq.stats),
@@ -983,7 +980,7 @@ mod tests {
         let r = reader(10);
         let pred = parse_expr("true").unwrap();
         let auto = read_pruned_par(&r, &pred, ColumnSet::ALL, 0).unwrap();
-        let seq = read_pruned(&r, &pred, ColumnSet::ALL).unwrap();
+        let seq = read_pruned(&reader(10), &pred, ColumnSet::ALL).unwrap();
         assert_eq!(auto.log.cases(), seq.log.cases());
         assert_eq!(format!("{:?}", auto.stats), format!("{:?}", seq.stats));
         // The decision is recorded with a reason either way; this tiny
@@ -997,7 +994,6 @@ mod tests {
         );
         let est: u64 = r
             .directory()
-            .unwrap()
             .iter()
             .flat_map(|c| &c.blocks)
             .map(|b| estimated_decode_bytes(b, ColumnSet::ALL))
@@ -1012,8 +1008,8 @@ mod tests {
         // vetted directory, so pruning must agree exactly with a scan of
         // the salvage-recovered log — never resurrecting lost events.
         let image = to_bytes_blocked(&sample(), 10).unwrap();
-        let pristine = StoreReader::from_bytes(image.clone()).unwrap();
-        let dir = pristine.directory().unwrap();
+        let pristine = open_image(image.to_vec());
+        let dir = pristine.directory();
         let victim = &dir[0].blocks[1];
         let blocks_len: usize = dir
             .iter()
@@ -1024,11 +1020,8 @@ mod tests {
         let at = damaged.len() - blocks_len + victim.offset as usize + 3;
         damaged[at] ^= 0x20;
 
-        let path =
-            std::env::temp_dir().join(format!("st-query-salvage-{}.stlog", std::process::id()));
-        std::fs::write(&path, &damaged).unwrap();
-        let salvaged = st_store::open_salvage(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
+        let salvaged =
+            st_store::salvage_source(Arc::new(BytesSegment::new(damaged.into()))).unwrap();
         assert_eq!(salvaged.report.losses.len(), 1);
         let recovered = salvaged.reader.read().unwrap();
         assert_eq!(recovered.total_events(), 70); // 80 minus the block
@@ -1046,41 +1039,25 @@ mod tests {
     }
 
     #[test]
-    fn seek_reader_produces_identical_pruned_reads() {
-        use st_store::{BytesSegment, SegmentReader};
+    fn pruned_reads_fetch_only_what_survives() {
         let image = to_bytes_blocked(&sample(), 10).unwrap();
-        let resident = StoreReader::from_bytes(image.clone()).unwrap();
+        let full = sample();
         for expr in ["true", "path~\"*.h5\"", "cid=a", "ok=false", "t=[0s,1ms)"] {
             let pred = parse_expr(expr).unwrap();
-            let reference = read_pruned(&resident, &pred, ColumnSet::ALL).unwrap();
+            let reference = scan(&full, &pred).to_event_log();
             for threads in [1, 4] {
                 // Fresh reader per run so bytes_read is exactly this
                 // query's fetches (head + surviving extents).
-                let seek =
-                    SegmentReader::from_source(Arc::new(BytesSegment::new(image.clone()))).unwrap();
+                let seek = open_image(image.to_vec());
                 let pruned = read_pruned_par(&seek, &pred, ColumnSet::ALL, threads).unwrap();
-                assert_eq!(
-                    reference.log.cases(),
-                    pruned.log.cases(),
-                    "{expr} x{threads}"
-                );
-                assert_eq!(
-                    reference.stats.blocks_pruned, pruned.stats.blocks_pruned,
-                    "{expr}"
-                );
-                assert_eq!(
-                    reference.stats.bytes_decoded, pruned.stats.bytes_decoded,
-                    "{expr}"
-                );
-                // The resident reader charges the whole image; the seek
-                // reader at most that (strictly less when blocks prune).
-                assert!(
-                    pruned.stats.bytes_read <= reference.stats.bytes_read,
-                    "{expr}"
-                );
+                assert_eq!(reference.cases(), pruned.log.cases(), "{expr} x{threads}");
+                // Never more than the image; strictly less when blocks
+                // prune.
+                let image_len = image.len() as u64;
+                assert!(pruned.stats.bytes_read <= image_len, "{expr}");
                 if pruned.stats.blocks_pruned > 0 {
                     assert!(
-                        pruned.stats.bytes_read < reference.stats.bytes_read,
+                        pruned.stats.bytes_read < image_len,
                         "{expr}: pruning must save disk bytes"
                     );
                 }
@@ -1125,14 +1102,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_containers_are_refused() {
-        let log = sample();
-        let r = StoreReader::from_bytes(st_store::to_bytes_v1(&log).unwrap()).unwrap();
-        assert!(PrunePlan::compile(&Predicate::True, &r).is_none());
-        assert!(read_pruned(&r, &Predicate::True, ColumnSet::ALL).is_err());
-    }
-
-    #[test]
     fn plan_decisions_are_conservative() {
         // Every Reject block must contain no matching event; every
         // Accept block must contain only matching events.
@@ -1149,12 +1118,12 @@ mod tests {
             "pid=100 and dur<6us",
         ] {
             let pred = parse_expr(expr).unwrap();
-            let plan = PrunePlan::compile(&pred, &r).unwrap();
+            let plan = PrunePlan::compile(&pred, &r);
             let ctx = EvalCtx {
                 snapshot: &snapshot,
                 t0: full.earliest_start().unwrap_or(Micros::ZERO),
             };
-            for (case_idx, case) in r.directory().unwrap().iter().enumerate() {
+            for (case_idx, case) in r.directory().iter().enumerate() {
                 let meta = full.cases()[case_idx].meta;
                 for block in &case.blocks {
                     let mut events = Vec::new();

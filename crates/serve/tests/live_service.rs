@@ -292,8 +292,7 @@ fn graceful_shutdown_leaves_fsck_clean_store() {
     // The finished container is clean end to end and holds every case.
     let salvaged = st_store::open_salvage_seek(&store).unwrap();
     assert!(salvaged.report.is_clean(), "{:?}", salvaged.report);
-    let reader = st_store::StoreReader::open(&store).unwrap();
-    assert_eq!(reader.read().unwrap().cases().len(), 3);
+    assert_eq!(salvaged.reader.read().unwrap().cases().len(), 3);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -10,7 +10,7 @@
 //!
 //! * **STLOG v2 store** — opened **out-of-core** by the seek reader
 //!   ([`st_store::SegmentReader`]; see
-//!   [`TraceSource::supports_seek`]): only the container head (header,
+//!   [`TraceSource::supports_pushdown`]): only the container head (header,
 //!   string table, directory) is fetched up front, and the predicate is
 //!   pushed down into the reader ([`st_query::read_pruned_par`]) —
 //!   zone-mapped blocks that provably cannot match are never even read
@@ -18,7 +18,8 @@
 //!   only the columns the predicate + the caller's
 //!   [`columns`](Inspector::columns) request are parsed. Stores larger
 //!   than RAM stay queryable on every route.
-//! * **STLOG v1 store** — full decode, then a (parallel) scan.
+//! * **STLOG v1 store** — full decode ([`st_store::read_store`]), then
+//!   a (parallel) scan.
 //! * **strace directory / file** — the parallel zero-copy loader
 //!   ([`st_strace::load_dir`] / [`st_strace::load_files`]), then a
 //!   scan; per-file parse warnings land in the session's warning
@@ -43,8 +44,7 @@ use st_obs::PipelineReport;
 use st_query::pushdown::ColumnSet;
 use st_query::{scan_par, Predicate, PushdownStats};
 use st_store::{
-    BlockCache, BlockRead, CacheStats, CachedBlockRead, SalvageReport, SegmentReader, StoreReader,
-    DEFAULT_CACHE_BUDGET,
+    BlockCache, CacheStats, CachedBlockRead, SalvageReport, SegmentReader, DEFAULT_CACHE_BUDGET,
 };
 use st_strace::{load_dir, load_files, LoadOptions};
 
@@ -68,69 +68,13 @@ pub enum RecoveryPolicy {
     Salvage,
 }
 
-/// The two ways a session holds a store container open: fully resident
-/// (v1, and any header the seek reader refuses) or seekable (v2 — only
-/// the head is resident; block bytes are fetched on demand, so the
-/// container never has to fit in RAM).
-enum StoreHandle {
-    Resident(StoreReader),
-    Seek(SegmentReader),
-}
-
-impl StoreHandle {
-    /// Whether the open container carries a block directory (the
-    /// prerequisite for pushdown). Seek opens always do — a v2 head is
-    /// exactly what [`SegmentReader`] refuses to open without.
-    fn has_directory(&self) -> bool {
-        match self {
-            StoreHandle::Resident(reader) => reader.directory().is_some(),
-            StoreHandle::Seek(_) => true,
-        }
-    }
-
-    /// Full decode of every case (the non-pushdown route).
-    fn read(&self) -> Result<EventLog, st_store::StoreError> {
-        match self {
-            StoreHandle::Resident(reader) => reader.read(),
-            StoreHandle::Seek(reader) => reader.read(),
-        }
-    }
-
-    /// The handle as a block-granular reader (the pushdown routes work
-    /// against this trait object, optionally through a
-    /// [`CachedBlockRead`] wrapper).
-    fn block_reader(&self) -> &dyn BlockRead {
-        match self {
-            StoreHandle::Resident(reader) => reader,
-            StoreHandle::Seek(reader) => reader,
-        }
-    }
-
-    /// Cumulative bytes fetched through this handle since it was
-    /// opened. Re-query accounting diffs this around each run to get
-    /// per-query disk traffic (the seek reader's counter never resets).
-    fn bytes_read(&self) -> u64 {
-        self.block_reader().bytes_read()
-    }
-
-    /// Route label for a pushdown read over this handle.
-    fn pushdown_route(&self, requery: bool) -> &'static str {
-        match (self, requery) {
-            (StoreHandle::Resident(_), false) => "store-pushdown-resident",
-            (StoreHandle::Seek(_), false) => "store-pushdown-seek",
-            (StoreHandle::Resident(_), true) => "store-requery-resident",
-            (StoreHandle::Seek(_), true) => "store-requery-seek",
-        }
-    }
-}
-
 /// Everything a [`Session`] retains to serve [`Session::refilter`]: the
-/// still-open container handle, the decoded-block cache populated by
+/// still-open container reader, the decoded-block cache populated by
 /// the queries run so far, and the plan inputs that must stay fixed
 /// across refinements so a refilter is observably a fresh session over
 /// the same inspector configuration.
 struct RequeryState {
-    handle: StoreHandle,
+    reader: SegmentReader,
     cache: Arc<BlockCache>,
     token: u64,
     columns: ColumnSet,
@@ -533,118 +477,107 @@ impl Inspector {
                 } else {
                     "store-read"
                 };
-                // v2 containers open out-of-core ([`supports_seek`]):
-                // only the head is fetched up front and every later
-                // byte comes from an exact-extent positioned read. v1
-                // (and truncated/unknown headers) keep the resident
-                // route, which surfaces the matching errors.
-                let seek = source.supports_seek();
                 let store_err = |source| Error::Store {
                     spec: spec.clone(),
                     source,
                 };
-                let reader = match (recovery, seek) {
-                    (RecoveryPolicy::Strict, true) => {
-                        StoreHandle::Seek(SegmentReader::open(path).map_err(store_err)?)
+                // v1 containers carry no block directory (and truncated
+                // or unknown headers fail here with the matching error):
+                // decode whole, then scan. v1 has no per-block CRCs, so
+                // under salvage a strict decode is all there is to do.
+                if !source.supports_pushdown() {
+                    let log = st_store::read_store(path).map_err(store_err)?;
+                    if recovery == RecoveryPolicy::Salvage {
+                        salvage = Some(SalvageReport::clean_v1(log.total_events() as u64));
                     }
-                    (RecoveryPolicy::Strict, false) => {
-                        StoreHandle::Resident(StoreReader::open(path).map_err(store_err)?)
+                    if pushdown && pred.is_some() {
+                        warnings.push(SourceWarning::Note(format!(
+                            "{spec}: filter evaluated by full scan — v1 containers carry no \
+                             block directory for pushdown (re-encode with the current tools \
+                             to enable it)"
+                        )));
                     }
-                    (RecoveryPolicy::Salvage, true) => {
-                        let salvaged = st_store::open_salvage_seek(path).map_err(store_err)?;
-                        note_salvage(&spec, path, &salvaged.report, &mut warnings);
-                        salvage = Some(salvaged.report);
-                        StoreHandle::Seek(salvaged.reader)
-                    }
-                    (RecoveryPolicy::Salvage, false) => {
-                        let salvaged = st_store::open_salvage(path).map_err(store_err)?;
-                        note_salvage(&spec, path, &salvaged.report, &mut warnings);
-                        salvage = Some(salvaged.report);
-                        StoreHandle::Resident(salvaged.reader)
-                    }
-                };
-                // A filter against a v1 container cannot be pushed down
-                // (no block directory) — note the degraded route rather
-                // than silently scanning.
-                if pushdown && pred.is_some() && !reader.has_directory() {
-                    warnings.push(SourceWarning::Note(format!(
-                        "{spec}: filter evaluated by full scan — v1 containers carry no \
-                         block directory for pushdown (re-encode with the current tools \
-                         to enable it)"
-                    )));
-                }
-                if pushdown && reader.has_directory() {
-                    // Pushdown route: prune, decode survivors in
-                    // parallel, and return — the pruned log already
-                    // holds exactly the matching events. On a seek
-                    // handle, pruned-away blocks are never read off
-                    // disk at all. `threads == 0` hands the worker
-                    // choice to the library's cost-aware scheduler
-                    // (block count × estimated decode bytes); an
-                    // explicit request keeps the planner's single-core
-                    // forcing.
-                    let pred = pred.unwrap_or(Predicate::True);
-                    let sched_threads = if threads == 0 { 0 } else { eff_threads };
-                    let cache =
-                        requery.then(|| Arc::new(BlockCache::with_budget(DEFAULT_CACHE_BUDGET)));
-                    let base = reader.block_reader();
-                    let pruned = match &cache {
-                        Some(cache) => {
-                            let token = cache.register();
-                            let cached = CachedBlockRead::new(base, cache, token);
-                            st_query::read_pruned_par(&cached, &pred, columns, sched_threads)
-                                .map(|pruned| (pruned, token))
+                    log
+                } else {
+                    // v2 opens out-of-core: only the head is fetched up
+                    // front and every later byte comes from an
+                    // exact-extent positioned read.
+                    let reader = match recovery {
+                        RecoveryPolicy::Strict => SegmentReader::open(path).map_err(store_err)?,
+                        RecoveryPolicy::Salvage => {
+                            let salvaged = st_store::open_salvage_seek(path).map_err(store_err)?;
+                            note_salvage(&spec, path, &salvaged.report, &mut warnings);
+                            salvage = Some(salvaged.report);
+                            salvaged.reader
                         }
-                        None => st_query::read_pruned_par(base, &pred, columns, sched_threads)
-                            .map(|pruned| (pruned, 0)),
                     };
-                    let (pruned, token) = pruned.map_err(|source| Error::Store {
-                        spec: spec.clone(),
-                        source,
-                    })?;
-                    let pushdown_route = if source.is_live() {
-                        format!("live-{}", reader.pushdown_route(false))
-                    } else {
-                        reader.pushdown_route(false).to_string()
-                    };
-                    let workers = pruned.sched.workers;
-                    let sched_reason = pruned.sched.reason.clone();
-                    let cache_stats = cache.as_ref().map(|cache| cache.stats());
-                    let requery_state = cache.map(|cache| RequeryState {
-                        handle: reader,
-                        cache,
-                        token,
-                        columns,
-                        threads: sched_threads,
-                        spec: spec.clone(),
-                        deny_warnings,
-                    });
-                    return finalize_session(
-                        Session {
-                            source,
-                            events_total: pruned.stats.events_total as usize,
-                            cases_total: pruned.stats.cases_total,
-                            pushdown: Some(pruned.stats),
-                            log: pruned.log,
-                            warnings,
-                            salvage,
-                            mapping,
-                            report: PipelineReport::default(),
-                            cache: cache_stats,
-                            requery: requery_state,
-                        },
-                        session_span,
-                        obs_mark,
-                        pushdown_route,
-                        workers,
-                        sched_reason,
-                        deny_warnings,
-                    );
+                    if pushdown {
+                        // Pushdown route: prune, decode survivors in
+                        // parallel, and return — the pruned log already
+                        // holds exactly the matching events, and
+                        // pruned-away blocks are never read off disk.
+                        // `threads == 0` hands the worker choice to the
+                        // library's cost-aware scheduler (block count ×
+                        // estimated decode bytes); an explicit request
+                        // keeps the planner's single-core forcing.
+                        let pred = pred.unwrap_or(Predicate::True);
+                        let sched_threads = if threads == 0 { 0 } else { eff_threads };
+                        let cache = requery
+                            .then(|| Arc::new(BlockCache::with_budget(DEFAULT_CACHE_BUDGET)));
+                        let pruned = match &cache {
+                            Some(cache) => {
+                                let token = cache.register();
+                                let cached = CachedBlockRead::new(&reader, cache, token);
+                                st_query::read_pruned_par(&cached, &pred, columns, sched_threads)
+                                    .map(|pruned| (pruned, token))
+                            }
+                            None => {
+                                st_query::read_pruned_par(&reader, &pred, columns, sched_threads)
+                                    .map(|pruned| (pruned, 0))
+                            }
+                        };
+                        let (pruned, token) = pruned.map_err(store_err)?;
+                        let pushdown_route = if source.is_live() {
+                            "live-store-pushdown-seek"
+                        } else {
+                            "store-pushdown-seek"
+                        };
+                        let workers = pruned.sched.workers;
+                        let sched_reason = pruned.sched.reason.clone();
+                        let cache_stats = cache.as_ref().map(|cache| cache.stats());
+                        let requery_state = cache.map(|cache| RequeryState {
+                            reader,
+                            cache,
+                            token,
+                            columns,
+                            threads: sched_threads,
+                            spec: spec.clone(),
+                            deny_warnings,
+                        });
+                        return finalize_session(
+                            Session {
+                                source,
+                                events_total: pruned.stats.events_total as usize,
+                                cases_total: pruned.stats.cases_total,
+                                pushdown: Some(pruned.stats),
+                                log: pruned.log,
+                                warnings,
+                                salvage,
+                                mapping,
+                                report: PipelineReport::default(),
+                                cache: cache_stats,
+                                requery: requery_state,
+                            },
+                            session_span,
+                            obs_mark,
+                            pushdown_route.to_string(),
+                            workers,
+                            sched_reason,
+                            deny_warnings,
+                        );
+                    }
+                    reader.read().map_err(store_err)?
                 }
-                reader.read().map_err(|source| Error::Store {
-                    spec: spec.clone(),
-                    source,
-                })?
             }
         };
 
@@ -880,8 +813,7 @@ impl Session {
     /// The returned session retains the re-query state, so refinements
     /// chain: each call's [`Session::report`] carries per-query
     /// `bytes_read` (disk traffic of *this* refinement alone) and
-    /// `cache.*` counters, under route `store-requery-resident` /
-    /// `store-requery-seek`.
+    /// `cache.*` counters, under route `store-requery-seek`.
     ///
     /// Fails with [`Error::RequeryUnavailable`] when the session
     /// retained no re-query state ([`Inspector::requery`] off, or a
@@ -902,14 +834,14 @@ impl Session {
         let obs_mark = st_obs::mark();
         let session_span = st_obs::span!("session.refilter");
         let cache_before = state.cache.stats();
-        let bytes_before = state.handle.bytes_read();
-        let cached = CachedBlockRead::new(state.handle.block_reader(), &state.cache, state.token);
+        let bytes_before = state.reader.bytes_read();
+        let cached = CachedBlockRead::new(&state.reader, &state.cache, state.token);
         let pruned = st_query::read_pruned_par(&cached, &pred, state.columns, state.threads);
         let mut pruned = pruned.map_err(|source| Error::Store {
             spec: state.spec.clone(),
             source,
         })?;
-        // The handle's fetch counter is cumulative across the session's
+        // The reader's fetch counter is cumulative across the session's
         // whole life; the report should account this refinement alone.
         pruned.stats.bytes_read = pruned.stats.bytes_read.saturating_sub(bytes_before);
         let cache_after = state.cache.stats();
@@ -918,7 +850,6 @@ impl Session {
             misses: cache_after.misses - cache_before.misses,
             bytes: cache_after.bytes,
         };
-        let route = state.handle.pushdown_route(true);
         let workers = pruned.sched.workers;
         let sched_reason = pruned.sched.reason.clone();
         let deny_warnings = state.deny_warnings;
@@ -938,7 +869,7 @@ impl Session {
             },
             session_span,
             obs_mark,
-            route.to_string(),
+            "store-requery-seek".to_string(),
             workers,
             sched_reason,
             deny_warnings,
@@ -1155,8 +1086,10 @@ mod tests {
     fn damaged_store(dir: &std::path::Path) -> std::path::PathBuf {
         let log = sim::workload_log("ls", false).unwrap();
         let image = st_store::to_bytes(&log).unwrap();
-        let reader = st_store::StoreReader::from_bytes(image.clone()).unwrap();
-        let dirs = reader.directory().unwrap();
+        let reader =
+            SegmentReader::from_source(Arc::new(st_store::BytesSegment::new(image.clone())))
+                .unwrap();
+        let dirs = reader.directory();
         let blocks_len: usize = dirs
             .iter()
             .flat_map(|c| &c.blocks)

@@ -55,27 +55,17 @@ pub enum TraceSource {
 
 impl TraceSource {
     /// Whether the session planner can push a predicate *into* the
-    /// reader for this source (zone-mapped block pruning): true only
-    /// for STLOG v2 containers, whose block directory carries the zone
-    /// maps pruning needs.
+    /// reader for this source (zone-mapped block pruning) and read it
+    /// **out-of-core** — opened by a seek reader that fetches only the
+    /// head plus the byte ranges a query actually touches, so
+    /// containers larger than RAM stay queryable. True only for STLOG
+    /// v2 containers, whose block directory carries the zone maps and
+    /// block extents both need.
     pub fn supports_pushdown(&self) -> bool {
         match self {
             TraceSource::Store { version: 2, .. } => true,
             // A live container's capabilities follow what the daemon
             // has sealed *so far*: sniffed at ask time, not parse time.
-            TraceSource::Live(path) => sniff_store_version(path) == Some(2),
-            _ => false,
-        }
-    }
-
-    /// Whether the source can be read **out-of-core**: opened by a seek
-    /// reader that fetches only the head plus the byte ranges a query
-    /// actually touches, so containers larger than RAM stay queryable.
-    /// True only for STLOG v2 containers — v1 has no block directory to
-    /// seek through, and trace text / sims materialize in memory anyway.
-    pub fn supports_seek(&self) -> bool {
-        match self {
-            TraceSource::Store { version: 2, .. } => true,
             TraceSource::Live(path) => sniff_store_version(path) == Some(2),
             _ => false,
         }
@@ -252,8 +242,8 @@ mod tests {
         );
         assert_eq!(src.to_string(), spec);
         assert!(src.is_live());
-        // No container yet → no pushdown/seek capabilities yet.
-        assert!(!src.supports_pushdown() && !src.supports_seek());
+        // No container yet → no pushdown capability yet.
+        assert!(!src.supports_pushdown());
         assert!(!src.supports_streaming());
 
         // Once a v2 container appears at the path, capabilities follow.
@@ -264,7 +254,7 @@ mod tests {
         let log = st_model::EventLog::with_new_interner();
         std::fs::write(&store, st_store::to_bytes(&log).unwrap()).unwrap();
         let live: TraceSource = format!("live:{}", store.display()).parse().unwrap();
-        assert!(live.supports_pushdown() && live.supports_seek());
+        assert!(live.supports_pushdown());
 
         assert!("live:".parse::<TraceSource>().is_err());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -317,13 +307,11 @@ mod tests {
             }
         );
         assert!(as_store.supports_pushdown());
-        assert!(as_store.supports_seek());
 
         std::fs::write(&store, st_store::to_bytes_v1(&log).unwrap()).unwrap();
         let as_v1: TraceSource = store.to_str().unwrap().parse().unwrap();
         assert!(matches!(as_v1, TraceSource::Store { version: 1, .. }));
         assert!(!as_v1.supports_pushdown());
-        assert!(!as_v1.supports_seek());
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -23,7 +23,7 @@ pub enum SourceWarning {
         warning: st_strace::Warning,
     },
     /// A container block quarantined by a salvage-mode open
-    /// ([`st_store::read_salvage`]): its events are absent from the
+    /// ([`st_store::open_salvage_seek`]): its events are absent from the
     /// session's log.
     Store {
         /// The container the block was lost from.

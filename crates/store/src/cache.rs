@@ -286,7 +286,7 @@ impl<R: BlockRead + ?Sized> BlockRead for CachedBlockRead<'_, R> {
         self.inner.strings()
     }
 
-    fn directory(&self) -> Option<&[CaseDir]> {
+    fn directory(&self) -> &[CaseDir] {
         self.inner.directory()
     }
 
@@ -348,15 +348,15 @@ mod tests {
         log
     }
 
-    fn store_with_blocks(log: &EventLog, block_events: usize) -> crate::StoreReader {
+    fn store_with_blocks(log: &EventLog, block_events: usize) -> crate::SegmentReader {
         let bytes = crate::writer::to_bytes_blocked(log, block_events).expect("encodable log");
-        crate::StoreReader::from_bytes(bytes).expect("valid store")
+        crate::SegmentReader::from_source(std::sync::Arc::new(crate::BytesSegment::new(bytes)))
+            .expect("valid store")
     }
 
-    fn all_blocks(reader: &crate::StoreReader) -> Vec<BlockDir> {
+    fn all_blocks(reader: &crate::SegmentReader) -> Vec<BlockDir> {
         reader
             .directory()
-            .expect("v2 directory")
             .iter()
             .flat_map(|case| case.blocks.iter().cloned())
             .collect()

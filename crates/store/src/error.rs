@@ -104,11 +104,6 @@ pub enum CorruptKind {
     },
     /// A column segment reaches outside its block body.
     SegmentOutOfBounds,
-    /// Block decode was requested on a v1 container (v1 has no blocks).
-    V1BlockDecode,
-    /// Predicate pushdown was requested on a v1 container (v1 has no
-    /// block directory).
-    V1Pushdown,
     /// A seek (out-of-core) open was requested on a v1 container (v1
     /// has no block directory to seek through).
     V1Seek,
@@ -150,11 +145,6 @@ impl fmt::Display for CorruptKind {
             }
             CorruptKind::BlockOutOfBounds { .. } => write!(f, "block extent out of bounds"),
             CorruptKind::SegmentOutOfBounds => write!(f, "column segment out of bounds"),
-            CorruptKind::V1BlockDecode => write!(f, "block decode requested on a v1 container"),
-            CorruptKind::V1Pushdown => write!(
-                f,
-                "predicate pushdown requires a v2 container (v1 has no block directory)"
-            ),
             CorruptKind::V1Seek => write!(
                 f,
                 "seek reader requires a v2 container (v1 has no block directory)"

@@ -49,10 +49,11 @@
 //! silently wrong analyses.
 //!
 //! The legacy **STLOG v1** layout (flat whole-case columns, varint
-//! section framing, magic `STLOG1`) is still read byte-for-byte
-//! identically through the same [`StoreReader`]; [`to_bytes_v1`] keeps
-//! the v1 encoder available for fixtures and compatibility tests.
-//! Unknown future versions fail with
+//! section framing, magic `STLOG1`) is frozen: [`decode_v1`] still
+//! reads it byte-for-byte identically, and [`to_bytes_v1`] keeps the v1
+//! encoder available for fixtures and compatibility tests.
+//! [`read_store`] dispatches on the version — the read counterpart of
+//! [`write_store`]. Unknown future versions fail with
 //! [`StoreError::UnsupportedVersion`].
 //!
 //! Reading restores symbols in insertion order, so symbol identities are
@@ -60,18 +61,18 @@
 //!
 //! ## Out-of-core access
 //!
-//! [`StoreReader`] holds the whole image resident. For containers
-//! larger than RAM, [`SegmentReader`] (module [`segment`]) opens only
-//! the head and fetches block extents on demand, and [`StoreBuilder`]
+//! [`SegmentReader`] (module [`segment`]) is the one v2 reader: it
+//! opens only the head and fetches block extents on demand, from a file
+//! or from an in-memory image ([`BytesSegment`]). [`StoreBuilder`]
 //! (module [`stream`]) writes a container case-by-case with bounded
 //! memory — the full byte image never exists on either path.
 //!
 //! ## Failure model
 //!
-//! Strict opens ([`StoreReader::open`]) are all-or-nothing. The
-//! [`salvage`] module recovers every event the per-block CRCs can vouch
-//! for from a damaged v2 container and reports what was lost
-//! ([`SalvageReport`]); [`write_store`] is atomic (temp + fsync +
+//! Strict reads are all-or-nothing: the head is validated at open and
+//! every block's CRC when it is fetched. The [`salvage`] module
+//! recovers every event the per-block CRCs can vouch for from a damaged
+//! v2 container and reports what was lost ([`SalvageReport`]); [`write_store`] is atomic (temp + fsync +
 //! rename), so interrupted writes never leave a torn container; and
 //! [`faults`] provides the deterministic corruptors the robustness
 //! tests (and the `faultgen` binary) are built on.
@@ -94,10 +95,10 @@ pub use cache::{BlockCache, CacheStats, CachedBlockRead, DEFAULT_CACHE_BUDGET};
 pub use error::{CorruptKind, StoreError};
 pub use faults::{Fault, FaultKind};
 pub use format::{BlockDir, CaseDir, ColumnSet, Decision, ZoneMap, DEFAULT_BLOCK_EVENTS};
-pub use reader::StoreReader;
+pub use reader::{decode_v1, read_store};
 pub use salvage::{
-    open_salvage, open_salvage_seek, read_salvage, salvage_bytes, salvage_source, BlockLoss,
-    BlockLossReason, SalvageReport, Salvaged, SalvagedSeek, SectionHealth, Verdict,
+    open_salvage_seek, salvage_source, BlockLoss, BlockLossReason, SalvageReport, SalvagedSeek,
+    SectionHealth, Verdict,
 };
 #[cfg(unix)]
 pub use segment::MmapSegment;

@@ -1,14 +1,20 @@
-//! Deserializing the container format back into an [`EventLog`].
+//! Reading containers back into an [`EventLog`].
 //!
-//! The reader is version-gated: STLOG **v1** (flat whole-case columns)
-//! decodes through the legacy path unchanged, STLOG **v2** parses the
-//! block [`directory`](StoreReader::directory) up front and decodes
-//! block bodies on demand — the hook predicate pushdown
-//! (`st_query::pushdown`) uses to skip blocks whose zone maps prove no
-//! event can match. Unknown future versions fail with
+//! [`read_store`] is the read counterpart of [`crate::write_store`]: it
+//! sniffs the header and dispatches on the format version. STLOG **v2**
+//! is read by one reader only, [`SegmentReader`] — over a file, or over
+//! an in-memory image wrapped in a [`BytesSegment`]. STLOG **v1** (flat
+//! whole-case columns) is frozen: [`decode_v1`] decodes it in one
+//! sequential pass and `tests/fixtures/v1_sample.stlog` pins it
+//! byte-for-byte. Unknown future versions fail with
 //! [`StoreError::UnsupportedVersion`].
+//!
+//! The v2 decode primitives — string table, block directory and block
+//! bodies — live here too; the seek reader and the salvage path share
+//! them, so a block decodes identically on every route.
 
 use std::path::Path;
+use std::sync::Arc;
 
 use bytes::{Buf, Bytes};
 use st_model::{Case, CaseMeta, Event, EventLog, Interner, Micros, Pid, Symbol, Syscall};
@@ -16,358 +22,148 @@ use st_model::{Case, CaseMeta, Event, EventLog, Interner, Micros, Pid, Symbol, S
 use crate::crc::crc32;
 use crate::error::{CorruptKind, StoreError};
 use crate::format::{BlockDir, CaseDir, ColumnSet, NCOLS};
+use crate::segment::{BytesSegment, SegmentReader};
 use crate::varint::{get_opt_u64, get_u64};
 use crate::writer::{CALL_OTHER_TAG, MAGIC_V1, MAGIC_V2, VERSION_V1, VERSION_V2};
 
-/// Version-specific payload behind a [`StoreReader`].
-#[derive(Debug)]
-enum Payload {
-    /// v1: the raw cases section, decoded in one sequential pass.
-    V1 { cases: Bytes },
-    /// v2: the parsed block directory plus the raw blocks section.
-    V2 {
-        directory: Vec<CaseDir>,
-        blocks: Bytes,
-    },
+/// Reads the whole container at `path`, whatever its version: v1
+/// through [`decode_v1`], v2 through a [`SegmentReader`] over the
+/// file's image. Symbols are re-interned in insertion order, so the
+/// log (ids included) is the one [`crate::write_store`] was given.
+pub fn read_store(path: &Path) -> Result<EventLog, StoreError> {
+    let data = std::fs::read(path).map_err(|source| StoreError::Io {
+        path: path.to_path_buf(),
+        source,
+    })?;
+    decode_image(Bytes::from(data))
 }
 
-/// A parsed-but-not-yet-decoded container.
-///
-/// Mirrors the paper's `EventLogH5` handle (Fig. 6 step 0): open once,
-/// then materialize the full log, a path-filtered subset of it, or — on
-/// v2 containers — individual column blocks selected through the
-/// directory.
-#[derive(Debug)]
-pub struct StoreReader {
-    strings: Vec<String>,
-    version: u32,
-    payload: Payload,
-    /// Byte length of the container image this reader was built from.
-    /// A resident reader's I/O cost is the whole image, whatever subset
-    /// is later decoded — [`StoreReader::bytes_read`] reports it.
-    image_len: u64,
-}
-
-impl StoreReader {
-    /// Opens and validates a container file (magic, version, CRCs).
-    ///
-    /// This reads the **whole file into memory**. For v2 containers
-    /// that should be queried without a resident image, use
-    /// [`crate::SegmentReader::open`] instead.
-    pub fn open(path: &Path) -> Result<StoreReader, StoreError> {
-        let _span = st_obs::span!("store.open");
-        let data = std::fs::read(path).map_err(|source| StoreError::Io {
-            path: path.to_path_buf(),
-            source,
-        })?;
+/// [`read_store`] over an image already in memory.
+fn decode_image(data: Bytes) -> Result<EventLog, StoreError> {
+    if check_header(&data)? == VERSION_V1 {
         st_obs::add("bytes_read", data.len() as u64);
-        Self::from_bytes(Bytes::from(data))
+        return decode_v1(data);
     }
+    SegmentReader::from_source(Arc::new(BytesSegment::new(data)))?.read()
+}
 
-    /// Validates a container held in memory.
-    pub fn from_bytes(mut data: Bytes) -> Result<StoreReader, StoreError> {
-        let image_len = data.len() as u64;
-        if data.len() < MAGIC_V1.len() + 4 {
-            return Err(StoreError::BadMagic);
-        }
-        let magic: [u8; 8] = data[..8].try_into().expect("length checked");
-        data.advance(8);
-        let version = data.get_u32_le();
-        match (&magic, version) {
-            (MAGIC_V1, VERSION_V1) => {
-                let strings_body = get_v1_section(&mut data, "strings")?;
-                let cases = get_v1_section(&mut data, "cases")?;
-                Ok(StoreReader {
-                    strings: decode_strings(strings_body)?,
-                    version,
-                    payload: Payload::V1 { cases },
-                    image_len,
-                })
-            }
-            (MAGIC_V2, VERSION_V2) => {
-                let strings_body = get_v2_section(&mut data, "strings")?;
-                let strings = decode_strings(strings_body)?;
-                let directory_body = get_v2_section(&mut data, "directory")?;
-                let blocks = get_v2_blocks(&mut data)?;
-                let directory = decode_directory(directory_body, blocks.len() as u64)?;
-                Ok(StoreReader {
-                    strings,
-                    version,
-                    payload: Payload::V2 { directory, blocks },
-                    image_len,
-                })
-            }
-            _ if magic.starts_with(b"STLOG") => Err(StoreError::UnsupportedVersion(version)),
-            _ => Err(StoreError::BadMagic),
-        }
+/// Validates a container's 12-byte header (magic + version) and returns
+/// the version: 1 or 2. Short or foreign headers are
+/// [`StoreError::BadMagic`]; an `STLOG` magic with any other pairing is
+/// [`StoreError::UnsupportedVersion`].
+pub(crate) fn check_header(head: &[u8]) -> Result<u32, StoreError> {
+    if head.len() < 12 {
+        return Err(StoreError::BadMagic);
     }
-
-    /// Assembles a v2 reader from already-vetted parts — the salvage
-    /// path's back door around [`StoreReader::from_bytes`]'s eager
-    /// whole-container validation. The caller (see [`crate::salvage`])
-    /// guarantees every block in `directory` is in bounds, CRC-clean
-    /// and decodable. `image_len` is the byte length of the original
-    /// container image, reported by [`StoreReader::bytes_read`].
-    pub(crate) fn assemble_v2(
-        strings: Vec<String>,
-        directory: Vec<CaseDir>,
-        blocks: Bytes,
-        image_len: u64,
-    ) -> StoreReader {
-        StoreReader {
-            strings,
-            version: VERSION_V2,
-            payload: Payload::V2 { directory, blocks },
-            image_len,
-        }
+    let magic: [u8; 8] = head[..8].try_into().expect("length checked");
+    let version = u32::from_le_bytes(head[8..12].try_into().expect("length checked"));
+    match (&magic, version) {
+        (MAGIC_V1, VERSION_V1) | (MAGIC_V2, VERSION_V2) => Ok(version),
+        _ if magic.starts_with(b"STLOG") => Err(StoreError::UnsupportedVersion(version)),
+        _ => Err(StoreError::BadMagic),
     }
+}
 
-    /// Bytes this reader has fetched from its underlying medium: a
-    /// resident reader always reads (and holds) the entire container
-    /// image, so this is the image length, independent of what is
-    /// decoded. The seek reader's counterpart
-    /// ([`crate::SegmentReader::bytes_read`]) grows with each ranged
-    /// fetch instead.
-    pub fn bytes_read(&self) -> u64 {
-        self.image_len
+/// Decodes a complete STLOG v1 image (magic, version, CRC-checked
+/// strings and cases sections). Any other version fails with
+/// [`StoreError::UnsupportedVersion`]. The format is frozen: the tools
+/// write only v2, and this decoder exists to keep old containers
+/// readable.
+pub fn decode_v1(mut data: Bytes) -> Result<EventLog, StoreError> {
+    let _span = st_obs::span!("store.read");
+    let version = check_header(&data)?;
+    if version != VERSION_V1 {
+        return Err(StoreError::UnsupportedVersion(version));
     }
-
-    /// The container's format version (1 or 2).
-    pub fn version(&self) -> u32 {
-        self.version
+    data.advance(12);
+    let strings = decode_strings(get_v1_section(&mut data, "strings")?)?;
+    let mut buf = get_v1_section(&mut data, "cases")?;
+    let symbol = |raw| symbol_in(&strings, raw);
+    let interner = Interner::new_shared();
+    for s in &strings {
+        interner.intern(s);
     }
+    let mut log = EventLog::new(interner);
 
-    /// Number of interned strings in the container.
-    pub fn string_count(&self) -> usize {
-        self.strings.len()
+    let case_count = get_u64(&mut buf)? as usize;
+    if case_count > buf.len() + 1 {
+        return Err(CorruptKind::ImplausibleCount { what: "case" }.into());
     }
-
-    /// The container's string table in symbol order: `strings()[i]` is
-    /// the spelling of `Symbol(i)`. Query planners use it to resolve
-    /// name predicates into symbols before any event byte is read.
-    pub fn strings(&self) -> &[String] {
-        &self.strings
-    }
-
-    /// The v2 block directory (case meta, block extents, zone maps), or
-    /// `None` for v1 containers — the caller's signal that predicate
-    /// pushdown is unavailable and the flat read path must be used.
-    pub fn directory(&self) -> Option<&[CaseDir]> {
-        match &self.payload {
-            Payload::V1 { .. } => None,
-            Payload::V2 { directory, .. } => Some(directory),
-        }
-    }
-
-    /// Total events recorded in the container, without decoding any
-    /// block (v2 reads the directory; v1 is `None` — the count is not
-    /// known until the cases section is decoded).
-    pub fn total_events(&self) -> Option<u64> {
-        self.directory()
-            .map(|dir| dir.iter().map(|c| c.events).sum())
-    }
-
-    /// Decodes the full event log. Symbols are re-interned in insertion
-    /// order, reproducing the original ids exactly.
-    pub fn read(&self) -> Result<EventLog, StoreError> {
-        self.read_with_filter(|_| true)
-    }
-
-    /// Decodes only events whose file path contains `needle` — the
-    /// container-level equivalent of `apply_fp_filter` (Fig. 6 step 1).
-    /// Cases left with no events are dropped.
-    pub fn read_filtered(&self, needle: &str) -> Result<EventLog, StoreError> {
-        let matching: Vec<bool> = self.strings.iter().map(|s| s.contains(needle)).collect();
-        self.read_with_filter(|path_sym| matching.get(path_sym.index()).copied().unwrap_or(false))
-    }
-
-    /// Decodes one v2 block, appending its events to `out` and
-    /// returning the number of column-segment bytes actually parsed.
-    ///
-    /// Only the columns in `cols` (always including
-    /// [`ColumnSet::IDENTITY`]) are decoded; the other segments are
-    /// skipped by their directory lengths and their event fields take
-    /// neutral defaults (pid 0, dur 0, `None` size/requested/offset,
-    /// `ok = true`). The block's CRC-32 is verified before decoding.
-    ///
-    /// Errors with [`StoreError::Corrupt`] on a v1 container (v1 has no
-    /// blocks; use [`StoreReader::read`]).
-    pub fn decode_block(
-        &self,
-        block: &BlockDir,
-        cols: ColumnSet,
-        out: &mut Vec<Event>,
-    ) -> Result<usize, StoreError> {
-        let _span = st_obs::span!("store.decode_block", offset = block.offset, len = block.len);
-        let Payload::V2 { blocks, .. } = &self.payload else {
-            return Err(CorruptKind::V1BlockDecode.into());
-        };
-        let start = usize::try_from(block.offset).map_err(|_| CorruptKind::ValueOverflow {
-            what: "block offset",
-            ty: "usize",
+    for _ in 0..case_count {
+        let cid = symbol(get_u64(&mut buf)?)?;
+        let host = symbol(get_u64(&mut buf)?)?;
+        let rid = u32::try_from(get_u64(&mut buf)?).map_err(|_| CorruptKind::ValueOverflow {
+            what: "rid",
+            ty: "u32",
         })?;
-        let len = block.len as usize;
-        if len < 4 || start.checked_add(len).is_none_or(|end| end > blocks.len()) {
-            return Err(CorruptKind::BlockOutOfBounds {
-                offset: block.offset,
-                len: block.len,
-                blocks_len: blocks.len() as u64,
-            }
-            .into());
+        let n = get_u64(&mut buf)? as usize;
+        if n > buf.len() {
+            return Err(CorruptKind::ImplausibleCount { what: "event" }.into());
         }
-        st_obs::add("blocks_decoded", 1);
-        decode_block_bytes(&blocks[start..start + len], block, cols, &self.strings, out)
-    }
-
-    fn read_with_filter(&self, keep_path: impl Fn(Symbol) -> bool) -> Result<EventLog, StoreError> {
-        let _span = st_obs::span!("store.read");
-        let interner = Interner::new_shared();
-        for s in &self.strings {
-            interner.intern(s);
-        }
-        let mut log = EventLog::new(interner);
-        match &self.payload {
-            Payload::V1 { cases } => self.read_v1(cases.clone(), &keep_path, &mut log)?,
-            Payload::V2 { directory, .. } => {
-                for entry in directory {
-                    let mut events: Vec<Event> = Vec::with_capacity(entry.events as usize);
-                    for block in &entry.blocks {
-                        self.decode_block(block, ColumnSet::ALL, &mut events)?;
-                    }
-                    events.retain(|e| keep_path(e.path));
-                    if !events.is_empty() {
-                        log.push_case(Case {
-                            meta: CaseMeta {
-                                cid: entry.cid,
-                                host: entry.host,
-                                rid: entry.rid,
-                            },
-                            events,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(log)
-    }
-
-    fn read_v1(
-        &self,
-        mut buf: Bytes,
-        keep_path: &impl Fn(Symbol) -> bool,
-        log: &mut EventLog,
-    ) -> Result<(), StoreError> {
-        let case_count = get_u64(&mut buf)? as usize;
-        if case_count > buf.len() + 1 {
-            return Err(CorruptKind::ImplausibleCount { what: "case" }.into());
-        }
-        for _ in 0..case_count {
-            let cid = self.symbol(get_u64(&mut buf)?)?;
-            let host = self.symbol(get_u64(&mut buf)?)?;
-            let rid =
+        // Columns in file order: pid, call, start (delta), dur, path,
+        // size, requested, offset, ok.
+        let mut events =
+            vec![Event::new(Pid(0), Syscall::Read, Micros::ZERO, Micros::ZERO, Symbol(0)); n];
+        for e in events.iter_mut() {
+            let pid =
                 u32::try_from(get_u64(&mut buf)?).map_err(|_| CorruptKind::ValueOverflow {
-                    what: "rid",
+                    what: "pid",
                     ty: "u32",
                 })?;
-            let n = get_u64(&mut buf)? as usize;
-            if n > buf.len() {
-                return Err(CorruptKind::ImplausibleCount { what: "event" }.into());
-            }
-            let mut events: Vec<Event> = Vec::with_capacity(n);
-            // pid column
-            let mut pids = Vec::with_capacity(n);
-            for _ in 0..n {
-                let pid =
-                    u32::try_from(get_u64(&mut buf)?).map_err(|_| CorruptKind::ValueOverflow {
-                        what: "pid",
-                        ty: "u32",
-                    })?;
-                pids.push(Pid(pid));
-            }
-            // call column
-            let mut calls = Vec::with_capacity(n);
-            for _ in 0..n {
-                if !buf.has_remaining() {
-                    return Err(CorruptKind::Truncated {
-                        what: "call column",
-                    }
-                    .into());
-                }
-                let tag = buf.get_u8();
-                let call = if tag == CALL_OTHER_TAG {
-                    Syscall::Other(self.symbol(get_u64(&mut buf)?)?)
-                } else {
-                    Syscall::from_named_index(tag)
-                        .ok_or_else(|| StoreError::from(CorruptKind::UnknownCallTag { tag }))?
-                };
-                calls.push(call);
-            }
-            // start column (delta decode)
-            let mut starts = Vec::with_capacity(n);
-            let mut acc = Micros::ZERO;
-            for _ in 0..n {
-                acc += Micros(get_u64(&mut buf)?);
-                starts.push(acc);
-            }
-            // dur column
-            let mut durs = Vec::with_capacity(n);
-            for _ in 0..n {
-                durs.push(Micros(get_u64(&mut buf)?));
-            }
-            // path column
-            let mut paths = Vec::with_capacity(n);
-            for _ in 0..n {
-                paths.push(self.symbol(get_u64(&mut buf)?)?);
-            }
-            // size / requested / offset columns
-            let mut sizes = Vec::with_capacity(n);
-            for _ in 0..n {
-                sizes.push(get_opt_u64(&mut buf)?);
-            }
-            let mut requesteds = Vec::with_capacity(n);
-            for _ in 0..n {
-                requesteds.push(get_opt_u64(&mut buf)?);
-            }
-            let mut offsets = Vec::with_capacity(n);
-            for _ in 0..n {
-                offsets.push(get_opt_u64(&mut buf)?);
-            }
-            // ok column
-            let mut oks = Vec::with_capacity(n);
-            for _ in 0..n {
-                if !buf.has_remaining() {
-                    return Err(CorruptKind::Truncated { what: "ok column" }.into());
-                }
-                oks.push(buf.get_u8() != 0);
-            }
-
-            for k in 0..n {
-                if !keep_path(paths[k]) {
-                    continue;
-                }
-                let mut e = Event::new(pids[k], calls[k], starts[k], durs[k], paths[k]);
-                e.size = sizes[k];
-                e.requested = requesteds[k];
-                e.offset = offsets[k];
-                e.ok = oks[k];
-                events.push(e);
-            }
-            if !events.is_empty() {
-                log.push_case(Case {
-                    meta: CaseMeta { cid, host, rid },
-                    events,
-                });
-            }
+            e.pid = Pid(pid);
         }
-        if buf.has_remaining() {
-            return Err(CorruptKind::TrailingBytes { after: "cases" }.into());
+        for e in events.iter_mut() {
+            if !buf.has_remaining() {
+                return Err(CorruptKind::Truncated {
+                    what: "call column",
+                }
+                .into());
+            }
+            let tag = buf.get_u8();
+            e.call = if tag == CALL_OTHER_TAG {
+                Syscall::Other(symbol(get_u64(&mut buf)?)?)
+            } else {
+                Syscall::from_named_index(tag)
+                    .ok_or_else(|| StoreError::from(CorruptKind::UnknownCallTag { tag }))?
+            };
         }
-        Ok(())
+        let mut acc = Micros::ZERO;
+        for e in events.iter_mut() {
+            acc += Micros(get_u64(&mut buf)?);
+            e.start = acc;
+        }
+        for e in events.iter_mut() {
+            e.dur = Micros(get_u64(&mut buf)?);
+        }
+        for e in events.iter_mut() {
+            e.path = symbol(get_u64(&mut buf)?)?;
+        }
+        for e in events.iter_mut() {
+            e.size = get_opt_u64(&mut buf)?;
+        }
+        for e in events.iter_mut() {
+            e.requested = get_opt_u64(&mut buf)?;
+        }
+        for e in events.iter_mut() {
+            e.offset = get_opt_u64(&mut buf)?;
+        }
+        for e in events.iter_mut() {
+            if !buf.has_remaining() {
+                return Err(CorruptKind::Truncated { what: "ok column" }.into());
+            }
+            e.ok = buf.get_u8() != 0;
+        }
+        if !events.is_empty() {
+            log.push_case(Case {
+                meta: CaseMeta { cid, host, rid },
+                events,
+            });
+        }
     }
-
-    fn symbol(&self, raw: u64) -> Result<Symbol, StoreError> {
-        symbol_in(&self.strings, raw)
+    if buf.has_remaining() {
+        return Err(CorruptKind::TrailingBytes { after: "cases" }.into());
     }
+    Ok(log)
 }
 
 /// Validates a raw symbol reference against a string table.
@@ -388,10 +184,9 @@ fn symbol_in(strings: &[String], raw: u64) -> Result<Symbol, StoreError> {
 
 /// Decodes one v2 block from its raw extent bytes (body + CRC-32
 /// trailer, exactly `block.len` bytes), appending events to `out` and
-/// returning the column-segment bytes parsed. Shared by the resident
-/// reader (which slices its in-memory blocks section) and the seek
-/// reader (which fetches exactly this extent from disk): both paths
-/// verify the CRC and decode identically by construction.
+/// returning the column-segment bytes parsed. Shared by the seek
+/// reader (which fetches exactly this extent) and the salvage vetting
+/// pass, so a block that vets decodes identically later.
 pub(crate) fn decode_block_bytes(
     raw: &[u8],
     block: &BlockDir,
@@ -554,51 +349,6 @@ fn get_v1_section(data: &mut Bytes, section: &'static str) -> Result<Bytes, Stor
     Ok(body)
 }
 
-/// Reads a v2 section's fixed 8-byte LE length prefix, validating that
-/// `len` (+ `trailer` bytes after the body) fits in the remaining data.
-pub(crate) fn get_v2_len_prefix(
-    data: &mut Bytes,
-    trailer: usize,
-    section: &'static str,
-) -> Result<usize, StoreError> {
-    if data.remaining() < 8 {
-        return Err(CorruptKind::TruncatedSection { section }.into());
-    }
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(&data[..8]);
-    data.advance(8);
-    let len = usize::try_from(u64::from_le_bytes(raw))
-        .map_err(|_| CorruptKind::SectionTooLarge { section })?;
-    if len
-        .checked_add(trailer)
-        .is_none_or(|need| data.remaining() < need)
-    {
-        return Err(CorruptKind::TruncatedSection { section }.into());
-    }
-    Ok(len)
-}
-
-/// Reads a v2 section: fixed 8-byte LE length prefix, body, CRC-32.
-pub(crate) fn get_v2_section(data: &mut Bytes, section: &'static str) -> Result<Bytes, StoreError> {
-    let len = get_v2_len_prefix(data, 4, section)?;
-    let body = data.split_to(len);
-    let stored_crc = data.get_u32_le();
-    if crc32(&body) != stored_crc {
-        return Err(StoreError::ChecksumMismatch { section });
-    }
-    Ok(body)
-}
-
-/// Reads the v2 blocks section (length-prefixed, per-block CRCs inside).
-fn get_v2_blocks(data: &mut Bytes) -> Result<Bytes, StoreError> {
-    let len = get_v2_len_prefix(data, 0, "blocks")?;
-    let body = data.split_to(len);
-    if data.has_remaining() {
-        return Err(CorruptKind::TrailingBytes { after: "blocks" }.into());
-    }
-    Ok(body)
-}
-
 /// Parses the directory section and validates it against the blocks
 /// section: block extents must be contiguous, in order, and cover the
 /// section exactly (the directory itself is CRC-protected, so any
@@ -661,14 +411,13 @@ pub(crate) fn decode_strings(mut body: Bytes) -> Result<Vec<String>, StoreError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::writer::{tests::sample_log, to_bytes, to_bytes_blocked, to_bytes_v1, write_store};
+    use crate::writer::{tests::sample_log, to_bytes, to_bytes_v1, write_store};
 
     #[test]
     fn roundtrip_preserves_everything() {
         let log = sample_log();
         for bytes in [to_bytes(&log).unwrap(), to_bytes_v1(&log).unwrap()] {
-            let reader = StoreReader::from_bytes(bytes).unwrap();
-            let back = reader.read().unwrap();
+            let back = decode_image(bytes).unwrap();
             assert_eq!(back.case_count(), log.case_count());
             assert_eq!(back.total_events(), log.total_events());
             let orig_snap = log.snapshot();
@@ -703,7 +452,7 @@ mod tests {
         // re-mapping).
         let log = sample_log();
         for bytes in [to_bytes(&log).unwrap(), to_bytes_v1(&log).unwrap()] {
-            let back = StoreReader::from_bytes(bytes).unwrap().read().unwrap();
+            let back = decode_image(bytes).unwrap();
             for (a, b) in log.cases().iter().zip(back.cases()) {
                 assert_eq!(a.meta.cid, b.meta.cid);
                 for (x, y) in a.events.iter().zip(&b.events) {
@@ -716,28 +465,12 @@ mod tests {
     #[test]
     fn v1_and_v2_decode_identically() {
         let log = sample_log();
-        let via_v1 = StoreReader::from_bytes(to_bytes_v1(&log).unwrap())
-            .unwrap()
-            .read()
-            .unwrap();
-        let via_v2 = StoreReader::from_bytes(to_bytes(&log).unwrap())
-            .unwrap()
-            .read()
-            .unwrap();
+        let via_v1 = decode_v1(to_bytes_v1(&log).unwrap()).unwrap();
+        let via_v2 = decode_image(to_bytes(&log).unwrap()).unwrap();
         assert_eq!(via_v1.cases(), via_v2.cases());
-    }
-
-    #[test]
-    fn filtered_read_prunes_events_and_cases() {
-        let log = sample_log();
-        for bytes in [to_bytes(&log).unwrap(), to_bytes_v1(&log).unwrap()] {
-            let reader = StoreReader::from_bytes(bytes).unwrap();
-            let filtered = reader.read_filtered("/usr/lib").unwrap();
-            assert_eq!(filtered.case_count(), 1);
-            assert_eq!(filtered.total_events(), 4); // the /missing openat drops
-            let none = reader.read_filtered("/nope").unwrap();
-            assert_eq!(none.case_count(), 0);
-        }
+        // The frozen v1 decoder refuses every other version.
+        let err = decode_v1(to_bytes(&log).unwrap()).unwrap_err();
+        assert!(matches!(err, StoreError::UnsupportedVersion(2)), "{err:?}");
     }
 
     #[test]
@@ -745,62 +478,17 @@ mod tests {
         let log = sample_log();
         let path = std::env::temp_dir().join(format!("st-store-{}.stlog", std::process::id()));
         write_store(&log, &path).unwrap();
-        let reader = StoreReader::open(&path).unwrap();
-        assert_eq!(reader.version(), 2);
-        let back = reader.read().unwrap();
-        assert_eq!(back.total_events(), log.total_events());
+        assert_eq!(read_store(&path).unwrap().cases(), log.cases());
+        std::fs::write(&path, to_bytes_v1(&log).unwrap()).unwrap();
+        assert_eq!(read_store(&path).unwrap().cases(), log.cases());
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn directory_reports_meta_without_decoding() {
-        let log = sample_log();
-        let reader = StoreReader::from_bytes(to_bytes_blocked(&log, 2).unwrap()).unwrap();
-        assert_eq!(reader.total_events(), Some(5));
-        let dir = reader.directory().unwrap();
-        assert_eq!(dir.len(), 1);
-        assert_eq!(dir[0].blocks.len(), 3); // 5 events in blocks of 2
-        assert_eq!(dir[0].start_min, Micros(100));
-        assert_eq!(dir[0].start_max, Micros(500));
-        assert_eq!(dir[0].blocks[0].zone.start_max, Micros(200));
-        // v1 exposes no directory.
-        let v1 = StoreReader::from_bytes(to_bytes_v1(&log).unwrap()).unwrap();
-        assert!(v1.directory().is_none());
-        assert_eq!(v1.total_events(), None);
-    }
-
-    #[test]
-    fn column_projection_skips_unselected_columns() {
-        let log = sample_log();
-        let reader = StoreReader::from_bytes(to_bytes(&log).unwrap()).unwrap();
-        let dir = reader.directory().unwrap();
-        let block = &dir[0].blocks[0];
-        let mut all = Vec::new();
-        let full_bytes = reader
-            .decode_block(block, ColumnSet::ALL, &mut all)
-            .unwrap();
-        let mut some = Vec::new();
-        let some_bytes = reader
-            .decode_block(block, ColumnSet::IDENTITY, &mut some)
-            .unwrap();
-        assert!(some_bytes < full_bytes, "{some_bytes} vs {full_bytes}");
-        assert_eq!(all.len(), some.len());
-        for (a, b) in all.iter().zip(&some) {
-            // Identity columns match; the rest fall back to defaults.
-            assert_eq!(a.call, b.call);
-            assert_eq!(a.start, b.start);
-            assert_eq!(a.path, b.path);
-            assert_eq!(b.pid, Pid(0));
-            assert_eq!(b.size, None);
-            assert!(b.ok);
-        }
-    }
-
-    #[test]
     fn bad_magic_rejected() {
-        let err = StoreReader::from_bytes(Bytes::from_static(b"NOTSTLOG....")).unwrap_err();
+        let err = decode_image(Bytes::from_static(b"NOTSTLOG....")).unwrap_err();
         assert!(matches!(err, StoreError::BadMagic));
-        let err = StoreReader::from_bytes(Bytes::from_static(b"xx")).unwrap_err();
+        let err = decode_image(Bytes::from_static(b"xx")).unwrap_err();
         assert!(matches!(err, StoreError::BadMagic));
     }
 
@@ -811,13 +499,13 @@ mod tests {
         let mut bytes = to_bytes(&log).unwrap().to_vec();
         bytes[5] = b'3';
         bytes[8] = 3;
-        let err = StoreReader::from_bytes(Bytes::from(bytes)).unwrap_err();
+        let err = decode_image(Bytes::from(bytes)).unwrap_err();
         assert!(matches!(err, StoreError::UnsupportedVersion(3)), "{err:?}");
         // A version field that disagrees with a known magic is equally
         // unreadable.
         let mut bytes = to_bytes(&log).unwrap().to_vec();
         bytes[8] = 0xEE;
-        let err = StoreReader::from_bytes(Bytes::from(bytes)).unwrap_err();
+        let err = decode_image(Bytes::from(bytes)).unwrap_err();
         assert!(
             matches!(err, StoreError::UnsupportedVersion(0xEE)),
             "{err:?}"
@@ -833,7 +521,7 @@ mod tests {
         ] {
             // Flip a byte inside the strings section (right after the header).
             bytes[16] ^= 0xFF;
-            let err = StoreReader::from_bytes(Bytes::from(bytes)).unwrap_err();
+            let err = decode_image(Bytes::from(bytes)).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -845,29 +533,11 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_block_detected() {
-        let log = sample_log();
-        let bytes = to_bytes(&log).unwrap().to_vec();
-        let mut corrupted = bytes.clone();
-        let idx = corrupted.len() - 8; // inside the last block body / CRC
-        corrupted[idx] ^= 0x55;
-        let reader = StoreReader::from_bytes(Bytes::from(corrupted)).unwrap();
-        let err = reader.read().unwrap_err();
-        assert!(
-            matches!(
-                err,
-                StoreError::ChecksumMismatch { .. } | StoreError::Corrupt(_)
-            ),
-            "{err:?}"
-        );
-    }
-
-    #[test]
     fn truncated_file_detected() {
         let log = sample_log();
         for bytes in [to_bytes(&log).unwrap(), to_bytes_v1(&log).unwrap()] {
             for cut in [12, bytes.len() / 2, bytes.len() - 1] {
-                let err = StoreReader::from_bytes(bytes.slice(0..cut)).unwrap_err();
+                let err = decode_image(bytes.slice(0..cut)).unwrap_err();
                 assert!(
                     matches!(
                         err,
@@ -896,7 +566,7 @@ mod tests {
                 bytes.extend_from_slice(&(u64::MAX - 3).to_le_bytes());
             }
             bytes.extend_from_slice(&[0u8; 16]);
-            let err = StoreReader::from_bytes(Bytes::from(bytes)).unwrap_err();
+            let err = decode_image(Bytes::from(bytes)).unwrap_err();
             assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
         }
     }
@@ -905,8 +575,7 @@ mod tests {
     fn empty_log_roundtrip() {
         let log = EventLog::with_new_interner();
         for bytes in [to_bytes(&log).unwrap(), to_bytes_v1(&log).unwrap()] {
-            let back = StoreReader::from_bytes(bytes).unwrap().read().unwrap();
-            assert!(back.is_empty());
+            assert!(decode_image(bytes).unwrap().is_empty());
         }
     }
 }

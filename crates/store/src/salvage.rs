@@ -1,12 +1,12 @@
 //! Salvage-mode container decoding: recover every event the checksums
 //! can vouch for instead of discarding a damaged file.
 //!
-//! The strict reader ([`StoreReader::from_bytes`]) is all-or-nothing by
-//! design — one flipped bit fails the whole open. At ingest scale torn
-//! writes and bit rot are routine, and the v2 layout already carries
-//! everything needed to do better: a CRC per block, a CRC per section,
-//! and a directory that pins every block to an exact byte extent. The
-//! salvage path exploits that:
+//! The strict reader ([`SegmentReader::from_source`] plus its block
+//! decodes) is all-or-nothing by design — one flipped bit fails the
+//! whole read. At ingest scale torn writes and bit rot are routine, and
+//! the v2 layout already carries everything needed to do better: a CRC
+//! per block, a CRC per section, and a directory that pins every block
+//! to an exact byte extent. The salvage path exploits that:
 //!
 //! 1. **Strings first.** The string table resolves every symbol in the
 //!    container; if its section is damaged, nothing else can be
@@ -26,40 +26,39 @@
 //!    into [`BlockLoss`] records; survivors form a new, smaller
 //!    directory over the *same* block bytes.
 //!
-//! The result is a [`StoreReader`] whose directory contains only vetted
-//! blocks, so every downstream path — [`StoreReader::read`], predicate
-//! pushdown, column projection — works unmodified and cannot fail on
-//! salvaged data, and pushdown skips quarantined blocks for free
-//! (they are simply absent). Recovered events are decoded from
+//! The result is a [`SegmentReader`] whose directory contains only
+//! vetted blocks, so every downstream path — [`SegmentReader::read`],
+//! predicate pushdown, column projection — works unmodified and cannot
+//! fail on salvaged data, and pushdown skips quarantined blocks for
+//! free (they are simply absent). Recovered events are decoded from
 //! untouched original bytes: salvage never invents or alters an event.
 //!
-//! v1 containers have section-wide CRCs only — no per-block framing —
-//! so salvage is all-or-nothing there: a clean v1 yields a clean
-//! report, a damaged one is unreadable.
+//! Vetting runs over a [`SegmentSource`], fetching each described
+//! block's extent individually — never the whole file — so fsck and
+//! salvage reads of a multi-GB container need RAM for its head and one
+//! block at a time. [`salvage_source`] is the one entry point;
+//! [`open_salvage_seek`] runs it over a file, and an in-memory image
+//! goes through it as a [`crate::BytesSegment`].
 //!
-//! Vetting itself runs over a [`SegmentSource`], fetching each
-//! described block's extent individually — never the whole file. The
-//! resident entry points ([`salvage_bytes`], [`open_salvage`]) wrap an
-//! in-memory image in a [`crate::BytesSegment`]; the out-of-core entry
-//! points ([`open_salvage_seek`], [`salvage_source`]) run the same core
-//! over a file and hand back a [`SegmentReader`], so fsck and salvage
-//! reads of a multi-GB container need RAM for its head and one block
-//! at a time, not its bytes.
+//! v1 containers have section-wide CRCs only — no per-block framing —
+//! so salvage is all-or-nothing there and the salvage entry points
+//! refuse them with [`CorruptKind::V1Seek`]. Callers decode v1 strictly
+//! ([`crate::decode_v1`]) and describe a successful decode with
+//! [`SalvageReport::clean_v1`]; a damaged v1 is unreadable.
 
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use st_model::EventLog;
 
 use crate::crc::{crc32, Crc32};
 use crate::error::{CorruptKind, StoreError};
 use crate::format::{CaseDir, ColumnSet, NCOLS};
-use crate::reader::{decode_block_bytes, decode_strings, StoreReader};
-use crate::segment::{read_section_at, BytesSegment, FileSegment, SegmentReader, SegmentSource};
+use crate::reader::{check_header, decode_block_bytes, decode_strings};
+use crate::segment::{read_section_at, FileSegment, SegmentReader, SegmentSource};
 use crate::varint::get_u64;
-use crate::writer::{MAGIC_V1, MAGIC_V2, VERSION_V1, VERSION_V2};
+use crate::writer::{VERSION_V1, VERSION_V2};
 
 /// Health of one container section after salvage inspection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,6 +191,27 @@ pub struct SalvageReport {
 }
 
 impl SalvageReport {
+    /// The report of a v1 container that decoded cleanly with
+    /// `events` events. v1 has no blocks or directory, so only the
+    /// event totals carry information.
+    pub fn clean_v1(events: u64) -> SalvageReport {
+        SalvageReport {
+            version: VERSION_V1,
+            directory: SectionHealth::Intact,
+            blocks_section: SectionHealth::Intact,
+            cases: 0,
+            cases_lost: 0,
+            blocks_total: 0,
+            blocks_recovered: 0,
+            events_total: events,
+            events_recovered: events,
+            losses: Vec::new(),
+            orphan_blocks: 0,
+            orphan_bytes: 0,
+            unaccounted_bytes: 0,
+        }
+    }
+
     /// `true` when nothing was lost or suspect — strict mode would
     /// accept this container.
     pub fn is_clean(&self) -> bool {
@@ -218,7 +238,7 @@ impl SalvageReport {
     }
 
     /// The container's health verdict. Unreadable containers never get
-    /// a report — they surface as the `Err` of [`open_salvage`].
+    /// a report — they surface as the `Err` of [`open_salvage_seek`].
     pub fn verdict(&self) -> Verdict {
         if self.is_clean() {
             Verdict::Clean
@@ -228,67 +248,8 @@ impl SalvageReport {
     }
 }
 
-/// A salvage-opened container: a [`StoreReader`] whose directory holds
-/// only vetted blocks, plus the report of what was lost.
-#[derive(Debug)]
-pub struct Salvaged {
-    /// Reader over the recovered subset; every standard read path
-    /// (full read, filtered read, predicate pushdown) works on it.
-    pub reader: StoreReader,
-    /// What was recovered, what was lost, and why.
-    pub report: SalvageReport,
-}
-
-/// Opens `path` in salvage mode. Errors only when the container is
-/// *unreadable* — bad magic, unsupported version, a damaged string
-/// table (v2), or any damage at all on a v1 container (v1 has no
-/// per-block CRCs to vouch for partial content).
-pub fn open_salvage(path: &Path) -> Result<Salvaged, StoreError> {
-    let _span = st_obs::span!("store.salvage.open");
-    let data = std::fs::read(path).map_err(|source| StoreError::Io {
-        path: path.to_path_buf(),
-        source,
-    })?;
-    st_obs::add("bytes_read", data.len() as u64);
-    salvage_bytes(Bytes::from(data))
-}
-
-/// Reads `path` in salvage mode: the recovered event log plus the loss
-/// report. The salvage sibling of [`StoreReader::read`].
-pub fn read_salvage(path: &Path) -> Result<(EventLog, SalvageReport), StoreError> {
-    let salvaged = open_salvage(path)?;
-    let log = salvaged.reader.read()?;
-    Ok((log, salvaged.report))
-}
-
-/// [`open_salvage`] over an in-memory image.
-pub fn salvage_bytes(data: Bytes) -> Result<Salvaged, StoreError> {
-    if data.len() < 12 {
-        return Err(StoreError::BadMagic);
-    }
-    let magic: [u8; 8] = data[..8].try_into().expect("length checked");
-    let version = u32::from_le_bytes(data[8..12].try_into().expect("length checked"));
-    match (&magic, version) {
-        (MAGIC_V1, VERSION_V1) => salvage_v1(data),
-        (MAGIC_V2, VERSION_V2) => {
-            let image_len = data.len() as u64;
-            let source: Arc<dyn SegmentSource> = Arc::new(BytesSegment::new(data.clone()));
-            let core = salvage_v2_core(&source)?;
-            let blocks = data
-                .slice(core.blocks_start as usize..(core.blocks_start + core.blocks_len) as usize);
-            Ok(Salvaged {
-                reader: StoreReader::assemble_v2(core.strings, core.entries, blocks, image_len),
-                report: core.report,
-            })
-        }
-        _ if magic.starts_with(b"STLOG") => Err(StoreError::UnsupportedVersion(version)),
-        _ => Err(StoreError::BadMagic),
-    }
-}
-
-/// A salvage-opened out-of-core container: a [`SegmentReader`] whose
-/// directory holds only vetted blocks, plus the loss report. The seek
-/// sibling of [`Salvaged`] — the container's bytes are never resident.
+/// A salvage-opened container: a [`SegmentReader`] whose directory
+/// holds only vetted blocks, plus the loss report.
 #[derive(Debug)]
 pub struct SalvagedSeek {
     /// Seek reader over the recovered subset; every standard read path
@@ -304,9 +265,10 @@ pub struct SalvagedSeek {
 /// fetching exactly its extent, and the result is a [`SegmentReader`]
 /// over the vetted directory.
 ///
-/// v1 containers have no block directory to seek through and fail with
-/// [`CorruptKind::V1Seek`]; fall back to the resident [`open_salvage`]
-/// there.
+/// Errors only when the container is *unreadable*: bad magic,
+/// unsupported version, or a damaged string table. v1 containers have
+/// no block directory to vet and fail with [`CorruptKind::V1Seek`];
+/// decode them strictly instead (see the module docs).
 pub fn open_salvage_seek(path: &Path) -> Result<SalvagedSeek, StoreError> {
     salvage_source(Arc::new(FileSegment::open(path)?))
 }
@@ -318,14 +280,8 @@ pub fn salvage_source(source: Arc<dyn SegmentSource>) -> Result<SalvagedSeek, St
     if source.len() < 12 {
         return Err(StoreError::BadMagic);
     }
-    let head = source.read_at(0, 12)?;
-    let magic: [u8; 8] = head[..8].try_into().expect("12 bytes fetched");
-    let version = u32::from_le_bytes(head[8..12].try_into().expect("12 bytes fetched"));
-    match (&magic, version) {
-        (MAGIC_V2, VERSION_V2) => {}
-        (MAGIC_V1, VERSION_V1) => return Err(CorruptKind::V1Seek.into()),
-        _ if magic.starts_with(b"STLOG") => return Err(StoreError::UnsupportedVersion(version)),
-        _ => return Err(StoreError::BadMagic),
+    if check_header(&source.read_at(0, 12)?)? == VERSION_V1 {
+        return Err(CorruptKind::V1Seek.into());
     }
     let core = salvage_v2_core(&source)?;
     st_obs::add("bytes_read", core.fetched);
@@ -342,36 +298,8 @@ pub fn salvage_source(source: Arc<dyn SegmentSource>) -> Result<SalvagedSeek, St
     })
 }
 
-/// v1 has whole-section CRCs only: any damage fails the strict open and
-/// the container is unreadable; a clean one reports clean.
-fn salvage_v1(data: Bytes) -> Result<Salvaged, StoreError> {
-    let reader = StoreReader::from_bytes(data)?;
-    // Count events the only way v1 allows: a full decode (the strict
-    // open already validated both section CRCs, so this cannot fail on
-    // format grounds).
-    let events = reader.read()?.total_events() as u64;
-    Ok(Salvaged {
-        reader,
-        report: SalvageReport {
-            version: VERSION_V1,
-            directory: SectionHealth::Intact,
-            blocks_section: SectionHealth::Intact,
-            cases: 0,
-            cases_lost: 0,
-            blocks_total: 0,
-            blocks_recovered: 0,
-            events_total: events,
-            events_recovered: events,
-            losses: Vec::new(),
-            orphan_blocks: 0,
-            orphan_bytes: 0,
-            unaccounted_bytes: 0,
-        },
-    })
-}
-
-/// What the source-driven v2 salvage core learned: the vetted parts a
-/// reader (resident or seek) is assembled from, plus the loss report
+/// What the v2 salvage core learned: the vetted parts the reader is
+/// assembled from, plus the loss report
 /// and the bytes fetched while vetting.
 struct SalvageCore {
     strings: Vec<String>,
@@ -527,7 +455,7 @@ fn salvage_v2_core(source: &Arc<dyn SegmentSource>) -> Result<SalvageCore, Store
     //    the operator the data survived even if its index did not.
     //    This is the one fetch not bounded by a block: a damaged
     //    container's undescribed tail is read whole (on a clean one it
-    //    is empty), matching the resident scan byte-for-byte.
+    //    is empty).
     let tail_start = described_end.min(blocks_len);
     let tail_len = usize::try_from(blocks_len - tail_start)
         .map_err(|_| CorruptKind::SectionTooLarge { section: "blocks" })?;
@@ -676,6 +604,7 @@ fn scan_block_frames(region: &[u8]) -> (usize, u64, u64) {
 mod tests {
     use super::*;
     use crate::faults::{Fault, FaultKind};
+    use crate::segment::BytesSegment;
     use crate::writer::{tests::sample_log, to_bytes_blocked, to_bytes_v1};
 
     fn v2_image() -> Vec<u8> {
@@ -683,9 +612,20 @@ mod tests {
         to_bytes_blocked(&sample_log(), 2).unwrap().to_vec()
     }
 
+    fn salvage_image(image: Vec<u8>) -> Result<SalvagedSeek, StoreError> {
+        salvage_source(Arc::new(BytesSegment::new(Bytes::from(image))))
+    }
+
+    /// The strict route: open the head, then decode every block.
+    fn strict_read(image: Vec<u8>) -> Result<st_model::EventLog, StoreError> {
+        SegmentReader::from_source(Arc::new(BytesSegment::new(Bytes::from(image))))?.read()
+    }
+
     fn block_extent(image: &[u8], case: usize, block: usize) -> (usize, usize) {
-        let reader = StoreReader::from_bytes(Bytes::from(image.to_vec())).unwrap();
-        let dir = reader.directory().unwrap();
+        let reader =
+            SegmentReader::from_source(Arc::new(BytesSegment::new(Bytes::from(image.to_vec()))))
+                .unwrap();
+        let dir = reader.directory();
         let b = &dir[case].blocks[block];
         let blocks_len: usize = dir
             .iter()
@@ -698,7 +638,7 @@ mod tests {
 
     #[test]
     fn pristine_container_reports_clean() {
-        let salvaged = salvage_bytes(Bytes::from(v2_image())).unwrap();
+        let salvaged = salvage_image(v2_image()).unwrap();
         assert!(salvaged.report.is_clean());
         assert_eq!(salvaged.report.verdict(), Verdict::Clean);
         assert_eq!(salvaged.report.recoverable_fraction(), 1.0);
@@ -711,14 +651,17 @@ mod tests {
     #[test]
     fn pristine_v1_reports_clean_and_damaged_v1_is_unreadable() {
         let image = to_bytes_v1(&sample_log()).unwrap().to_vec();
-        let salvaged = salvage_bytes(Bytes::from(image.clone())).unwrap();
-        assert!(salvaged.report.is_clean());
-        assert_eq!(salvaged.report.events_recovered, 5);
+        let log = crate::decode_v1(Bytes::from(image.clone())).unwrap();
+        let report = SalvageReport::clean_v1(log.total_events() as u64);
+        assert!(report.is_clean());
+        assert_eq!(report.verdict(), Verdict::Clean);
+        assert_eq!(report.version, 1);
+        assert_eq!(report.events_recovered, 5);
 
         let mut damaged = image;
         let idx = damaged.len() - 8;
         damaged[idx] ^= 0x40;
-        assert!(salvage_bytes(Bytes::from(damaged)).is_err());
+        assert!(crate::decode_v1(Bytes::from(damaged)).is_err());
     }
 
     #[test]
@@ -729,10 +672,9 @@ mod tests {
         damaged[off + 2] ^= 0x10;
 
         // Strict rejects the whole container on read.
-        let strict = StoreReader::from_bytes(Bytes::from(damaged.clone())).unwrap();
-        assert!(strict.read().is_err());
+        assert!(strict_read(damaged.clone()).is_err());
 
-        let salvaged = salvage_bytes(Bytes::from(damaged)).unwrap();
+        let salvaged = salvage_image(damaged).unwrap();
         let report = &salvaged.report;
         assert_eq!(report.verdict(), Verdict::Degraded);
         assert_eq!(report.losses.len(), 1);
@@ -747,10 +689,7 @@ mod tests {
         assert_eq!(report.events_recovered, 3);
 
         // Recovered events are byte-identical to the originals.
-        let original = StoreReader::from_bytes(to_bytes_blocked(&sample_log(), 2).unwrap())
-            .unwrap()
-            .read()
-            .unwrap();
+        let original = sample_log();
         let recovered = salvaged.reader.read().unwrap();
         assert_eq!(recovered.total_events(), 3);
         let orig_events = &original.cases()[0].events;
@@ -765,7 +704,7 @@ mod tests {
         let (last_off, last_len) = block_extent(&image, 0, 2);
         let mut cut = image.clone();
         cut.truncate(last_off + last_len / 2);
-        let salvaged = salvage_bytes(Bytes::from(cut)).unwrap();
+        let salvaged = salvage_image(cut).unwrap();
         let report = &salvaged.report;
         assert_eq!(report.blocks_section, SectionHealth::Damaged);
         assert_eq!(report.losses.len(), 1);
@@ -780,22 +719,12 @@ mod tests {
         let before = image.clone();
         Fault::GarbageAppend { len: 64, seed: 3 }.apply(&mut image);
         assert_ne!(image, before);
-        let salvaged = salvage_bytes(Bytes::from(image)).unwrap();
+        let salvaged = salvage_image(image.clone()).unwrap();
         assert_eq!(salvaged.report.verdict(), Verdict::Degraded);
         assert_eq!(salvaged.report.unaccounted_bytes, 64);
         assert_eq!(salvaged.report.events_recovered, 5);
         // Strict rejects the same container.
-        assert!(StoreReader::from_bytes(to_damaged(&before, 64)).is_err());
-    }
-
-    fn to_damaged(image: &[u8], extra: usize) -> Bytes {
-        let mut v = image.to_vec();
-        Fault::GarbageAppend {
-            len: extra,
-            seed: 3,
-        }
-        .apply(&mut v);
-        Bytes::from(v)
+        assert!(strict_read(image).is_err());
     }
 
     #[test]
@@ -809,8 +738,8 @@ mod tests {
         let mut damaged = image.clone();
         let crc_pos = blocks_start - 8 - 1;
         damaged[crc_pos] ^= 0xFF;
-        assert!(StoreReader::from_bytes(Bytes::from(damaged.clone())).is_err());
-        let salvaged = salvage_bytes(Bytes::from(damaged)).unwrap();
+        assert!(strict_read(damaged.clone()).is_err());
+        let salvaged = salvage_image(damaged).unwrap();
         assert_eq!(salvaged.report.directory, SectionHealth::Damaged);
         assert_eq!(salvaged.report.events_recovered, 5);
         assert_eq!(salvaged.reader.read().unwrap().total_events(), 5);
@@ -832,7 +761,7 @@ mod tests {
             len: 16,
         }
         .apply(&mut damaged);
-        let salvaged = salvage_bytes(Bytes::from(damaged)).unwrap();
+        let salvaged = salvage_image(damaged).unwrap();
         let report = &salvaged.report;
         assert_eq!(report.verdict(), Verdict::Degraded);
         // Whatever was not described must be found as frames (the
@@ -849,7 +778,7 @@ mod tests {
     fn strings_damage_is_unreadable() {
         let mut image = v2_image();
         image[16] ^= 0xFF;
-        assert!(salvage_bytes(Bytes::from(image)).is_err());
+        assert!(salvage_image(image).is_err());
     }
 
     #[test]
@@ -858,10 +787,7 @@ mod tests {
         // invent events, and strict must reject whatever salvage
         // flags.
         let image = v2_image();
-        let original = StoreReader::from_bytes(Bytes::from(image.clone()))
-            .unwrap()
-            .read()
-            .unwrap();
+        let original = sample_log();
         for kind in FaultKind::ALL {
             for seed in 0..25u64 {
                 let mut damaged = image.clone();
@@ -871,10 +797,8 @@ mod tests {
                 if damaged == image {
                     continue; // e.g. zeroing already-zero bytes
                 }
-                let strict_ok = StoreReader::from_bytes(Bytes::from(damaged.clone()))
-                    .and_then(|r| r.read())
-                    .is_ok();
-                match salvage_bytes(Bytes::from(damaged)) {
+                let strict_ok = strict_read(damaged.clone()).is_ok();
+                match salvage_image(damaged) {
                     Err(_) => assert!(!strict_ok, "{kind} seed {seed}: strict ok, salvage err"),
                     Ok(salvaged) => {
                         if !salvaged.report.is_clean() {
@@ -893,35 +817,6 @@ mod tests {
                             }
                         }
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn seek_salvage_matches_resident_salvage_across_faults() {
-        // The seek core must agree with the resident path on the exact
-        // report and the exact recovered events, damage or no damage.
-        let image = v2_image();
-        for kind in FaultKind::ALL {
-            for seed in 0..10u64 {
-                let mut damaged = image.clone();
-                Fault::seeded(kind, seed, image.len()).apply(&mut damaged);
-                let resident = salvage_bytes(Bytes::from(damaged.clone()));
-                let seek = salvage_source(Arc::new(BytesSegment::new(Bytes::from(damaged))));
-                match (resident, seek) {
-                    (Ok(r), Ok(s)) => {
-                        assert_eq!(r.report, s.report, "{kind} seed {seed}");
-                        let rl = r.reader.read().unwrap();
-                        let sl = s.reader.read().unwrap();
-                        assert_eq!(rl.cases(), sl.cases(), "{kind} seed {seed}");
-                    }
-                    (Err(_), Err(_)) => {}
-                    (r, s) => panic!(
-                        "{kind} seed {seed}: resident {:?} vs seek {:?}",
-                        r.map(|x| x.report),
-                        s.map(|x| x.report)
-                    ),
                 }
             }
         }

@@ -1,27 +1,27 @@
-//! Out-of-core (seek) access to STLOG v2 containers.
+//! The STLOG v2 reader: seek access over any byte source.
 //!
-//! The resident [`StoreReader`] slurps the whole file before the first
-//! predicate runs, so pushdown skips *decoding* but never *I/O*. This
-//! module closes that gap: a [`SegmentSource`] abstracts "a byte range
-//! of the container, fetched on demand" (positioned `pread`, a memory
-//! map, or an in-memory image), and [`SegmentReader`] opens a v2
-//! container by reading **only** its head — magic, string table, block
-//! directory — then fetches exactly the block extents a query decodes.
+//! A [`SegmentSource`] abstracts "a byte range of the container,
+//! fetched on demand" (positioned `pread`, a memory map, or an
+//! in-memory image), and [`SegmentReader`] — the only v2 reader — opens
+//! a container by reading **only** its head (magic, string table, block
+//! directory), then fetches exactly the block extents a query decodes.
 //! A store much larger than RAM is queried at directory cost plus the
-//! bytes of the blocks that survive zone-map pruning.
+//! bytes of the blocks that survive zone-map pruning; an image already
+//! in memory goes through the same code as a [`BytesSegment`], whose
+//! fetches are zero-copy slices of the image.
 //!
-//! The [`BlockRead`] trait is the common surface the query layer
-//! (`st_query::pushdown`) is generic over: both readers expose the same
-//! string table / directory / block decode, plus [`BlockRead::bytes_read`]
-//! so pruning statistics can report bytes *fetched from the medium*
-//! alongside bytes decoded — the resident reader always charges the
-//! whole image, the seek reader only what it touched.
+//! The [`BlockRead`] trait is the surface the query layer
+//! (`st_query::pushdown`) is generic over: string table, directory,
+//! block decode, plus [`BlockRead::bytes_read`] so pruning statistics
+//! can report bytes *fetched from the medium* alongside bytes decoded.
+//! [`SegmentReader`] implements it, and so does the decoded-block cache
+//! adapter ([`crate::CachedBlockRead`]) that wraps it.
 //!
 //! [`CountingSegment`] wraps any source with fetch accounting and is
 //! the test double behind the no-false-I/O laws in
-//! `tests/props_store_io.rs`: bytes read never exceed the resident
-//! image, zone-map-rejected blocks contribute zero reads, and a
-//! pass-all read totals exactly the image.
+//! `tests/props_store_io.rs`: bytes read never exceed the image,
+//! zone-map-rejected blocks contribute zero reads, and a pass-all read
+//! totals exactly the image.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -34,8 +34,8 @@ use st_model::{Case, CaseMeta, Event, EventLog, Interner};
 use crate::crc::crc32;
 use crate::error::{CorruptKind, StoreError};
 use crate::format::{BlockDir, CaseDir, ColumnSet};
-use crate::reader::{decode_block_bytes, decode_directory, decode_strings, StoreReader};
-use crate::writer::{MAGIC_V1, MAGIC_V2, VERSION_V1, VERSION_V2};
+use crate::reader::{check_header, decode_block_bytes, decode_directory, decode_strings};
+use crate::writer::VERSION_V1;
 
 /// A random-access byte source holding one container image.
 ///
@@ -67,9 +67,9 @@ fn short_read_error(path: &Path, offset: u64, len: usize) -> StoreError {
     }
 }
 
-/// A resident in-memory image as a [`SegmentSource`] — the degenerate
-/// source that makes ranged and resident code paths share one
-/// implementation (salvage vetting runs on it for `salvage_bytes`).
+/// An in-memory image as a [`SegmentSource`]: fetches are zero-copy
+/// slices sharing the image's buffer, so reading an image through a
+/// [`SegmentReader`] costs no copy over decoding it in place.
 #[derive(Debug, Clone)]
 pub struct BytesSegment {
     data: Bytes,
@@ -285,19 +285,17 @@ impl SegmentSource for CountingSegment {
 
 /// The reader surface predicate pushdown is generic over: string table,
 /// block directory, on-demand block decode, and cumulative fetch
-/// accounting. Implemented by the resident [`StoreReader`] and the
-/// out-of-core [`SegmentReader`]; `st_query::read_pruned_par` produces
-/// identical results over either.
+/// accounting. Implemented by [`SegmentReader`] and by the
+/// decoded-block cache adapter [`crate::CachedBlockRead`] around it.
 pub trait BlockRead: Sync {
     /// The container's string table in symbol order.
     fn strings(&self) -> &[String];
 
-    /// The v2 block directory, or `None` when the container has none
-    /// (v1) — pushdown is then unavailable.
-    fn directory(&self) -> Option<&[CaseDir]>;
+    /// The v2 block directory (case meta, block extents, zone maps).
+    fn directory(&self) -> &[CaseDir];
 
     /// Decodes one v2 block, appending its events to `out`; returns the
-    /// column-segment bytes parsed. See [`StoreReader::decode_block`]
+    /// column-segment bytes parsed. See [`SegmentReader::decode_block`]
     /// for the exact contract (CRC verify, column projection).
     fn decode_block(
         &self,
@@ -307,33 +305,9 @@ pub trait BlockRead: Sync {
     ) -> Result<usize, StoreError>;
 
     /// Cumulative bytes this reader has fetched from its underlying
-    /// medium since it was opened. A resident reader reports its whole
-    /// image; a seek reader reports head bytes plus every block extent
+    /// medium since it was opened: head bytes plus every block extent
     /// fetched so far.
     fn bytes_read(&self) -> u64;
-}
-
-impl BlockRead for StoreReader {
-    fn strings(&self) -> &[String] {
-        StoreReader::strings(self)
-    }
-
-    fn directory(&self) -> Option<&[CaseDir]> {
-        StoreReader::directory(self)
-    }
-
-    fn decode_block(
-        &self,
-        block: &BlockDir,
-        cols: ColumnSet,
-        out: &mut Vec<Event>,
-    ) -> Result<usize, StoreError> {
-        StoreReader::decode_block(self, block, cols, out)
-    }
-
-    fn bytes_read(&self) -> u64 {
-        StoreReader::bytes_read(self)
-    }
 }
 
 /// Reads a strict v2 section (8-byte LE length prefix, body, CRC-32
@@ -368,13 +342,14 @@ pub(crate) fn read_section_at(
     Ok((body, pos))
 }
 
-/// An out-of-core v2 container reader: opening reads only the head
-/// (magic + strings + directory + blocks length), and each
+/// The v2 container reader: opening reads only the head (magic +
+/// strings + directory + blocks length), and each
 /// [`SegmentReader::decode_block`] fetches exactly that block's byte
-/// extent. The whole container is never resident.
+/// extent. The whole container is never resident unless the source is
+/// an in-memory image.
 ///
-/// Produces byte-identical results to a [`StoreReader`] over the same
-/// image (`tests/props_store_pushdown.rs` pins the equivalence), while
+/// A full [`SegmentReader::read`] reproduces the written log exactly
+/// (`tests/props_store_pushdown.rs` pins it), while
 /// [`SegmentReader::bytes_read`] grows only with the extents actually
 /// fetched — the number behind `PushdownStats::bytes_read` and the
 /// bench `ooc` section.
@@ -413,28 +388,20 @@ impl SegmentReader {
     }
 
     /// Opens a container over any byte source, validating magic,
-    /// version, head-section CRCs and directory coverage — everything
-    /// the strict resident open validates except per-block CRCs, which
-    /// are verified when (and only when) a block is fetched.
+    /// version, head-section CRCs and directory coverage. Per-block
+    /// CRCs are verified when (and only when) a block is fetched.
     ///
     /// v1 containers have no block directory to seek through and fail
-    /// with [`CorruptKind::V1Seek`]; use [`StoreReader::open`] there.
+    /// with [`CorruptKind::V1Seek`]; use [`crate::read_store`] or
+    /// [`crate::decode_v1`] there.
     pub fn from_source(source: Arc<dyn SegmentSource>) -> Result<SegmentReader, StoreError> {
         let _span = st_obs::span!("store.open.seek");
         let total = source.len();
         if total < 12 {
             return Err(StoreError::BadMagic);
         }
-        let head = source.read_at(0, 12)?;
-        let magic: [u8; 8] = head[..8].try_into().expect("12 bytes fetched");
-        let version = u32::from_le_bytes(head[8..12].try_into().expect("12 bytes fetched"));
-        match (&magic, version) {
-            (MAGIC_V2, VERSION_V2) => {}
-            (MAGIC_V1, VERSION_V1) => return Err(CorruptKind::V1Seek.into()),
-            _ if magic.starts_with(b"STLOG") => {
-                return Err(StoreError::UnsupportedVersion(version))
-            }
-            _ => return Err(StoreError::BadMagic),
+        if check_header(&source.read_at(0, 12)?)? == VERSION_V1 {
+            return Err(CorruptKind::V1Seek.into());
         }
         let (strings_body, pos) = read_section_at(&*source, 12, "strings")?;
         let strings = decode_strings(strings_body)?;
@@ -464,12 +431,13 @@ impl SegmentReader {
         })
     }
 
-    /// Assembles a seek reader from already-vetted parts — the seek
-    /// salvage path's equivalent of `StoreReader::assemble_v2`. The
-    /// caller guarantees every block in `directory` lies within
-    /// `[blocks_start, blocks_start + blocks_len)` of `source` and is
-    /// CRC-clean and decodable; `head_bytes` seeds the fetch counter
-    /// with the I/O already spent vetting.
+    /// Assembles a reader from already-vetted parts — the salvage
+    /// path's back door around [`SegmentReader::from_source`]'s strict
+    /// head validation. The caller guarantees every block in
+    /// `directory` lies within `[blocks_start, blocks_start +
+    /// blocks_len)` of `source` and is CRC-clean and decodable;
+    /// `head_bytes` seeds the fetch counter with the I/O already spent
+    /// vetting.
     pub(crate) fn assemble(
         source: Arc<dyn SegmentSource>,
         strings: Vec<String>,
@@ -486,12 +454,6 @@ impl SegmentReader {
             blocks_len,
             bytes_read: AtomicU64::new(head_bytes),
         }
-    }
-
-    /// The container's format version (always 2 — v1 cannot be opened
-    /// through a seek reader).
-    pub fn version(&self) -> u32 {
-        VERSION_V2
     }
 
     /// The container's string table in symbol order.
@@ -515,10 +477,15 @@ impl SegmentReader {
         self.bytes_read.load(Ordering::Relaxed)
     }
 
-    /// Fetches and decodes one block — the seek twin of
-    /// [`StoreReader::decode_block`], with the same contract (CRC
-    /// verify, column projection, identity columns always decoded).
+    /// Fetches and decodes one block, appending its events to `out` and
+    /// returning the number of column-segment bytes actually parsed.
     /// Exactly `block.len` bytes are read from the source.
+    ///
+    /// Only the columns in `cols` (always including
+    /// [`ColumnSet::IDENTITY`]) are decoded; the other segments are
+    /// skipped by their directory lengths and their event fields take
+    /// neutral defaults (pid 0, dur 0, `None` size/requested/offset,
+    /// `ok = true`). The block's CRC-32 is verified before decoding.
     pub fn decode_block(
         &self,
         block: &BlockDir,
@@ -550,8 +517,8 @@ impl SegmentReader {
     }
 
     /// Decodes the full event log, fetching each block extent once.
-    /// Symbols are re-interned in insertion order — the same log (ids
-    /// included) a resident [`StoreReader::read`] produces.
+    /// Symbols are re-interned in insertion order, reproducing the
+    /// written log's ids exactly.
     pub fn read(&self) -> Result<EventLog, StoreError> {
         let _span = st_obs::span!("store.read");
         let interner = Interner::new_shared();
@@ -584,8 +551,8 @@ impl BlockRead for SegmentReader {
         SegmentReader::strings(self)
     }
 
-    fn directory(&self) -> Option<&[CaseDir]> {
-        Some(SegmentReader::directory(self))
+    fn directory(&self) -> &[CaseDir] {
+        SegmentReader::directory(self)
     }
 
     fn decode_block(
@@ -611,19 +578,52 @@ mod tests {
         std::env::temp_dir().join(format!("st-segment-{}-{}", name, std::process::id()))
     }
 
+    fn open_image(image: Bytes) -> SegmentReader {
+        SegmentReader::from_source(Arc::new(BytesSegment::new(image))).unwrap()
+    }
+
     #[test]
-    fn seek_read_equals_resident_read() {
+    fn read_reproduces_the_written_log() {
         let log = sample_log();
         let image = to_bytes_blocked(&log, 2).unwrap();
-        let resident = StoreReader::from_bytes(image.clone())
-            .unwrap()
-            .read()
+        assert_eq!(open_image(image).read().unwrap().cases(), log.cases());
+    }
+
+    #[test]
+    fn directory_reports_meta_without_decoding() {
+        let reader = open_image(to_bytes_blocked(&sample_log(), 2).unwrap());
+        assert_eq!(reader.total_events(), 5);
+        let dir = reader.directory();
+        assert_eq!(dir.len(), 1);
+        assert_eq!(dir[0].blocks.len(), 3); // 5 events in blocks of 2
+        assert_eq!(dir[0].start_min, st_model::Micros(100));
+        assert_eq!(dir[0].start_max, st_model::Micros(500));
+        assert_eq!(dir[0].blocks[0].zone.start_max, st_model::Micros(200));
+    }
+
+    #[test]
+    fn column_projection_skips_unselected_columns() {
+        let reader = open_image(to_bytes(&sample_log()).unwrap());
+        let block = &reader.directory()[0].blocks[0];
+        let mut all = Vec::new();
+        let full_bytes = reader
+            .decode_block(block, ColumnSet::ALL, &mut all)
             .unwrap();
-        let seek = SegmentReader::from_source(Arc::new(BytesSegment::new(image)))
-            .unwrap()
-            .read()
+        let mut some = Vec::new();
+        let some_bytes = reader
+            .decode_block(block, ColumnSet::IDENTITY, &mut some)
             .unwrap();
-        assert_eq!(resident.cases(), seek.cases());
+        assert!(some_bytes < full_bytes, "{some_bytes} vs {full_bytes}");
+        assert_eq!(all.len(), some.len());
+        for (a, b) in all.iter().zip(&some) {
+            // Identity columns match; the rest fall back to defaults.
+            assert_eq!(a.call, b.call);
+            assert_eq!(a.start, b.start);
+            assert_eq!(a.path, b.path);
+            assert_eq!(b.pid, st_model::Pid(0));
+            assert_eq!(b.size, None);
+            assert!(b.ok);
+        }
     }
 
     #[test]
@@ -638,8 +638,7 @@ mod tests {
             let via_mmap = SegmentReader::open_mmap(&path).unwrap().read().unwrap();
             assert_eq!(via_file.cases(), via_mmap.cases());
         }
-        let resident = StoreReader::open(&path).unwrap().read().unwrap();
-        assert_eq!(via_file.cases(), resident.cases());
+        assert_eq!(via_file.cases(), log.cases());
         std::fs::remove_file(&path).unwrap();
     }
 

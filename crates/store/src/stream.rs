@@ -324,7 +324,7 @@ impl Drop for StoreBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reader::StoreReader;
+    use crate::reader::read_store;
     use crate::writer::tests::sample_log;
     use crate::writer::to_bytes_blocked;
 
@@ -442,8 +442,7 @@ mod tests {
         b.push_case(log.cases()[0].meta, &log.cases()[0].events)
             .unwrap();
         b.checkpoint().unwrap();
-        let reader = StoreReader::open(&path).unwrap();
-        let partial = reader.read().unwrap();
+        let partial = read_store(&path).unwrap();
         assert_eq!(partial.case_count(), 1);
         assert_eq!(partial.cases()[0].events, log.cases()[0].events);
 
@@ -453,7 +452,7 @@ mod tests {
             b.push_case(case.meta, &case.events).unwrap();
         }
         b.checkpoint().unwrap();
-        let full = StoreReader::open(&path).unwrap().read().unwrap();
+        let full = read_store(&path).unwrap();
         assert_eq!(full.case_count(), log.case_count());
 
         // finish() after checkpoints is bit-identical to the one-shot
@@ -500,7 +499,7 @@ mod tests {
             "{:?}",
             scratch_files(&dir)
         );
-        let recovered = StoreReader::open(&path).unwrap().read().unwrap();
+        let recovered = read_store(&path).unwrap();
         assert_eq!(recovered.case_count(), 1);
         drop(b);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -513,8 +512,7 @@ mod tests {
         let interner = Interner::new_shared();
         let b = StoreBuilder::create(&path, interner).unwrap();
         b.finish().unwrap();
-        let reader = StoreReader::open(&path).unwrap();
-        assert_eq!(reader.read().unwrap().case_count(), 0);
+        assert_eq!(read_store(&path).unwrap().case_count(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -4,10 +4,8 @@
 //! columns with a zone-mapped block directory (see the crate root for
 //! the byte layout and `st_query::pushdown` for the planner that
 //! consumes the directory). [`to_bytes_v1`] keeps the legacy flat v1
-//! encoder for fixtures and compatibility tests; [`StoreReader`] reads
-//! both.
-//!
-//! [`StoreReader`]: crate::reader::StoreReader
+//! encoder for fixtures and compatibility tests; [`crate::read_store`]
+//! reads both.
 
 use std::path::Path;
 
@@ -506,14 +504,12 @@ pub(crate) mod tests {
         let one = to_bytes_blocked(&log, 1).unwrap();
         let all = to_bytes_blocked(&log, 1024).unwrap();
         assert_ne!(one.len(), all.len()); // more blocks, more directory
-        let a = crate::reader::StoreReader::from_bytes(one)
-            .unwrap()
-            .read()
-            .unwrap();
-        let b = crate::reader::StoreReader::from_bytes(all)
-            .unwrap()
-            .read()
-            .unwrap();
-        assert_eq!(a.cases(), b.cases());
+        let read = |image| {
+            crate::SegmentReader::from_source(std::sync::Arc::new(crate::BytesSegment::new(image)))
+                .unwrap()
+                .read()
+                .unwrap()
+        };
+        assert_eq!(read(one).cases(), read(all).cases());
     }
 }

@@ -35,13 +35,14 @@ fn main() {
     std::fs::write("filter_usrlib.dot", &dot).expect("write dot");
     println!("wrote filter_usrlib.dot");
 
-    // The same query done store-side: persist, then filtered read
-    // (the paper's `event_log.apply_fp_filter('/usr/lib')`).
+    // The same query done store-side: persist, then push the path
+    // filter into the reader (the paper's
+    // `event_log.apply_fp_filter('/usr/lib')`).
     let store_path = std::env::temp_dir().join("usrlib-demo.stlog");
     write_store(&exp.cx, &store_path).expect("store");
-    let filtered = StoreReader::open(&store_path)
-        .expect("open")
-        .read_filtered("/usr/lib")
+    let filtered = Inspector::open(store_path.to_str().expect("UTF-8 temp path"))
+        .and_then(|inspector| inspector.filter_expr(r#"path~"*/usr/lib*""#))
+        .and_then(Inspector::log)
         .expect("filtered read");
     println!(
         "store-side filter: {} events under /usr/lib (same as in-memory: {})",

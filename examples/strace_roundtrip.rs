@@ -55,10 +55,7 @@ fn main() {
     // 4) Store as a single container file and reload.
     let store_path = dir.join("eventlog.stlog");
     write_store(&loaded.log, &store_path).expect("store");
-    let reloaded = StoreReader::open(&store_path)
-        .expect("open")
-        .read()
-        .expect("read");
+    let reloaded = read_store(&store_path).expect("read");
     assert_eq!(reloaded.total_events(), original.total_events());
     println!(
         "stored + reloaded {} events via {} ({} bytes)",

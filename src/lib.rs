@@ -94,6 +94,6 @@ pub mod prelude {
     pub use st_query::{group_by, parse_expr, scan, scan_par, GroupKey, Predicate};
     pub use st_sim::{SimConfig, Simulation, TraceFilter};
     pub use st_source::{Inspector, Session, SourceWarning, TraceSource};
-    pub use st_store::{write_store, StoreReader};
+    pub use st_store::{read_store, write_store};
     pub use st_strace::{load_dir, parse_str, write_log_to_dir, LoadOptions, WriteOptions};
 }

@@ -140,3 +140,14 @@ pub fn dfg_edges_by_name(dfg: &Dfg) -> Vec<(String, String, u64)> {
     edges.sort();
     edges
 }
+
+/// Opens an in-memory container image through the v2 reader (a
+/// zero-copy [`BytesSegment`](st_inspector::store::BytesSegment)
+/// source).
+pub fn open_image(
+    image: bytes::Bytes,
+) -> Result<st_inspector::store::SegmentReader, st_inspector::store::StoreError> {
+    st_inspector::store::SegmentReader::from_source(Arc::new(
+        st_inspector::store::BytesSegment::new(image),
+    ))
+}

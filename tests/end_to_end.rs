@@ -66,9 +66,7 @@ fn store_roundtrip_preserves_the_dfg_and_filters() {
     let original = simulate_ls_pair();
     let path = std::env::temp_dir().join(format!("st-e2e-store-{}.stlog", std::process::id()));
     write_store(&original, &path).unwrap();
-    let reader = StoreReader::open(&path).unwrap();
-
-    let reloaded = reader.read().unwrap();
+    let reloaded = read_store(&path).unwrap();
     let mapping = CallTopDirs::new(2);
     assert_eq!(
         dfg_edges_by_name(&Dfg::from_mapped(&MappedLog::new(&original, &mapping))),
@@ -76,7 +74,12 @@ fn store_roundtrip_preserves_the_dfg_and_filters() {
     );
 
     // Store-side filtered read == in-memory filter (Fig. 6 step 1).
-    let store_filtered = reader.read_filtered("/usr/lib").unwrap();
+    let store_filtered = Inspector::open(path.to_str().unwrap())
+        .unwrap()
+        .filter_expr(r#"path~"*/usr/lib*""#)
+        .unwrap()
+        .log()
+        .unwrap();
     let mem_filtered = original.filter_path_contains("/usr/lib");
     assert_eq!(store_filtered.total_events(), mem_filtered.total_events());
     assert_eq!(store_filtered.case_count(), mem_filtered.case_count());

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use st_inspector::prelude::*;
 
 mod common;
-use common::{build_log, log_strategy};
+use common::{build_log, log_strategy, open_image};
 
 /// Normalizes an event to what the strace text format can represent:
 /// `requested` collapses to `size` when absent (the writer prints the
@@ -78,7 +78,7 @@ proptest! {
     fn store_roundtrip(specs in log_strategy(6, 30)) {
         let log = build_log(&specs);
         let bytes = st_inspector::store::to_bytes(&log).unwrap();
-        let back = StoreReader::from_bytes(bytes).unwrap().read().unwrap();
+        let back = open_image(bytes).unwrap().read().unwrap();
         // Cases that were empty are dropped by the reader only when
         // filtered; plain read keeps empty cases? The writer stores all
         // cases; the reader keeps only non-empty ones.
@@ -102,8 +102,7 @@ proptest! {
         let bytes = st_inspector::store::to_bytes(&log).unwrap();
         let cut = ((bytes.len() as f64) * frac) as usize;
         if cut < bytes.len() {
-            let result = StoreReader::from_bytes(bytes.slice(0..cut))
-                .and_then(|r| r.read().map(|_| ()));
+            let result = open_image(bytes.slice(0..cut)).and_then(|r| r.read().map(|_| ()));
             prop_assert!(result.is_err(), "accepted a truncation at {}", cut);
         }
     }
@@ -120,8 +119,7 @@ proptest! {
             let mut corrupted = bytes.clone();
             corrupted[pos] ^= 1 << bit;
             if corrupted != bytes {
-                let result = StoreReader::from_bytes(corrupted.into())
-                    .and_then(|r| r.read().map(|_| ()));
+                let result = open_image(corrupted.into()).and_then(|r| r.read().map(|_| ()));
                 prop_assert!(result.is_err(), "accepted bit flip at {}", pos);
             }
         }

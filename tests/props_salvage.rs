@@ -11,22 +11,40 @@
 //! 3. **Single-block corruption is contained** — one flipped bit in
 //!    the blocks region quarantines exactly one block and recovers
 //!    every other block's events;
-//! 4. **fsck agrees with salvage** — the report `open_salvage` (the
-//!    `fsck` subcommand's engine) produces is identical to
-//!    `read_salvage`'s, and its recovery totals match the events the
-//!    salvage read actually returns.
+//! 4. **fsck agrees with salvage** — the report `open_salvage_seek`
+//!    (the `fsck` subcommand's engine) produces is identical to the one
+//!    a salvage-mode session acts on, and its recovery totals match the
+//!    events the session actually returns;
+//! 5. **Salvage recovers exactly the vetted blocks** — with the
+//!    directory intact, the recovered log is the written log minus the
+//!    quarantined blocks' events, block for block.
+//!
+//! Salvage runs through its one entry point, `salvage_source`, over an
+//! in-memory image; the strict path is `SegmentReader` plus a full read.
+
+use std::sync::Arc;
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use st_inspector::prelude::*;
+use st_inspector::source::RecoveryPolicy;
 use st_inspector::store::{
-    read_salvage, salvage_bytes, salvage_source, to_bytes_blocked, BytesSegment, Fault, FaultKind,
-    StoreReader,
+    open_salvage_seek, salvage_source, to_bytes_blocked, BytesSegment, Fault, FaultKind,
+    SalvagedSeek, SectionHealth, StoreError,
 };
 use st_model::Syscall;
 
 mod common;
-use common::{build_log, log_strategy};
+use common::{build_log, log_strategy, open_image};
+
+fn salvage_image(image: Vec<u8>) -> Result<SalvagedSeek, StoreError> {
+    salvage_source(Arc::new(BytesSegment::new(Bytes::from(image))))
+}
+
+/// The strict route: open the head, then decode every block.
+fn strict_read(image: Vec<u8>) -> Result<EventLog, StoreError> {
+    open_image(Bytes::from(image))?.read()
+}
 
 /// Renders every event of a log as an interner-independent row, sorted,
 /// so logs decoded through different string tables compare by value.
@@ -100,11 +118,10 @@ proptest! {
         let fault = Fault::seeded(FaultKind::ALL[kind_idx], seed, faulted.len());
         fault.apply(&mut faulted);
 
-        match salvage_bytes(Bytes::from(faulted.clone())) {
+        match salvage_image(faulted.clone()) {
             Err(_) => {
                 // Unreadable under salvage: strict must reject too.
-                let strict = StoreReader::from_bytes(Bytes::from(faulted))
-                    .and_then(|r| r.read());
+                let strict = strict_read(faulted);
                 prop_assert!(strict.is_err(), "strict accepted what salvage could not open");
             }
             Ok(salvaged) => {
@@ -120,8 +137,7 @@ proptest! {
                     salvaged.report.events_recovered,
                     "report totals disagree with the recovered log"
                 );
-                let strict = StoreReader::from_bytes(Bytes::from(faulted))
-                    .and_then(|r| r.read());
+                let strict = strict_read(faulted);
                 if salvaged.report.is_clean() {
                     prop_assert_eq!(&got, &original, "clean report but lossy recovery");
                     prop_assert!(strict.is_ok(), "strict rejected a clean container");
@@ -151,7 +167,7 @@ proptest! {
             let pos = region.start + pos_seed % region.len();
             image[pos] ^= 1 << bit;
 
-            let salvaged = salvage_bytes(Bytes::from(image)).unwrap();
+            let salvaged = salvage_image(image).unwrap();
             let report = salvaged.report.clone();
             prop_assert_eq!(report.losses.len(), 1, "one flipped bit, one quarantined block");
             let lost = report.losses[0].events_lost;
@@ -166,14 +182,14 @@ proptest! {
         }
     }
 
-    /// Law 5 (seek axis): salvage through ranged fetches is invisible —
-    /// over any fault-injected image, `salvage_source` (the seek path
-    /// `fsck` and out-of-core sessions use) and `salvage_bytes` (the
-    /// resident path) produce identical reports and identical recovered
-    /// logs, or both refuse; and on a clean container vetting never
-    /// fetches more bytes than the image holds.
+    /// Law 5: salvage recovers exactly the vetted blocks. With the
+    /// directory intact (every entry is the written one), the recovered
+    /// log is the written log with each quarantined block's events
+    /// removed — the writer chunks every case into `block_events`-sized
+    /// blocks, so the oracle needs no reader at all. On a clean
+    /// container, vetting never fetches more bytes than the image holds.
     #[test]
-    fn seek_salvage_equals_resident_salvage(
+    fn seek_salvage_recovers_exactly_the_vetted_blocks(
         specs in log_strategy(4, 40),
         block_events in 1usize..12,
         kind_idx in 0usize..FaultKind::ALL.len(),
@@ -183,43 +199,51 @@ proptest! {
         let mut image = to_bytes_blocked(&log, block_events).unwrap().to_vec();
         let fault = Fault::seeded(FaultKind::ALL[kind_idx], seed, image.len());
         fault.apply(&mut image);
-        let image = Bytes::from(image);
+        let image_len = image.len() as u64;
 
-        let resident = salvage_bytes(image.clone());
-        let seek = salvage_source(std::sync::Arc::new(BytesSegment::new(image.clone())));
-        match (resident, seek) {
-            (Err(_), Err(_)) => {} // unreadable either way
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(&a.report, &b.report, "reports differ across access paths");
-                prop_assert_eq!(
-                    canonical(&a.reader.read().unwrap()),
-                    canonical(&b.reader.read().unwrap()),
-                    "recovered logs differ across access paths"
+        if let Ok(salvaged) = salvage_image(image) {
+            let report = &salvaged.report;
+            // Checked before any read adds block fetches. A corrupt
+            // directory may claim overlapping extents, so vetting can
+            // re-fetch bytes; only a clean container bounds the vet
+            // I/O by the image itself.
+            if report.is_clean() {
+                prop_assert!(
+                    salvaged.reader.bytes_read() <= image_len,
+                    "vetting a clean container fetched {} of {} bytes",
+                    salvaged.reader.bytes_read(),
+                    image_len
                 );
-                // A corrupt directory may claim overlapping extents, so
-                // vetting can re-fetch bytes; only a clean container
-                // bounds the vet I/O by the image itself.
-                if b.report.is_clean() {
-                    prop_assert!(
-                        b.reader.bytes_read() <= image.len() as u64,
-                        "vetting a clean container fetched {} of {} bytes",
-                        b.reader.bytes_read(),
-                        image.len()
-                    );
-                }
             }
-            (a, b) => prop_assert!(
-                false,
-                "resident ({:?}) and seek ({:?}) disagree on readability",
-                a.is_ok(),
-                b.is_ok()
-            ),
+            if report.directory == SectionHealth::Intact && report.cases_lost == 0 {
+                let mut expected = EventLog::new(Arc::clone(log.interner()));
+                for (ord, case) in log.cases().iter().enumerate() {
+                    let events: Vec<Event> = case
+                        .events
+                        .chunks(block_events)
+                        .enumerate()
+                        .filter(|(block, _)| {
+                            !report.losses.iter().any(|l| l.case == ord && l.block == *block)
+                        })
+                        .flat_map(|(_, chunk)| chunk.iter().cloned())
+                        .collect();
+                    if !events.is_empty() {
+                        expected.push_case(Case { meta: case.meta, events });
+                    }
+                }
+                prop_assert_eq!(
+                    salvaged.reader.read().unwrap().cases(),
+                    expected.cases(),
+                    "recovered log is not the written log minus the lost blocks"
+                );
+            }
         }
     }
 
-    /// Law 4: the report `fsck` sees (via `open_salvage`) is the report
-    /// `read_salvage` acts on, and its verdict reflects actual
-    /// recovery: clean means the salvage read returns the original log.
+    /// Law 4: the report `fsck` sees (via `open_salvage_seek`) is the
+    /// report a salvage-mode session acts on, and its verdict reflects
+    /// actual recovery: clean means the session returns the original
+    /// log.
     #[test]
     fn fsck_report_agrees_with_salvage_recovery(
         specs in log_strategy(3, 30),
@@ -240,21 +264,27 @@ proptest! {
         let path = dir.join("case.stlog");
         std::fs::write(&path, &image).unwrap();
 
-        let opened = st_inspector::store::open_salvage(&path);
-        let read = read_salvage(&path);
-        match (opened, read) {
+        let fsck = open_salvage_seek(&path);
+        // The store route, named directly: a fault in the header must
+        // not reclassify the file as strace text.
+        let session = Inspector::from_source(TraceSource::Store { path: path.clone(), version: 2 })
+            .recovery(RecoveryPolicy::Salvage)
+            .session();
+        match (fsck, session) {
             (Err(_), Err(_)) => {} // unreadable either way
-            (Ok(salvaged), Ok((recovered, report))) => {
-                prop_assert_eq!(&salvaged.report, &report, "fsck and salvage reports differ");
-                prop_assert_eq!(recovered.total_events() as u64, report.events_recovered);
+            (Ok(salvaged), Ok(session)) => {
+                let report = session.salvage().expect("salvage session carries its report");
+                prop_assert_eq!(&salvaged.report, report, "fsck and salvage reports differ");
+                prop_assert_eq!(session.log().total_events() as u64, report.events_recovered);
                 if report.verdict() == st_inspector::store::Verdict::Clean {
-                    prop_assert_eq!(canonical(&recovered), canonical(&log));
+                    prop_assert_eq!(canonical(session.log()), canonical(&log));
                 }
             }
             (a, b) => {
                 std::fs::remove_dir_all(&dir).ok();
                 panic!(
-                    "open_salvage ({:?}) and read_salvage ({:?}) disagree on readability",
+                    "open_salvage_seek ({:?}) and the salvage session ({:?}) disagree on \
+                     readability",
                     a.is_ok(),
                     b.is_ok()
                 );

@@ -8,13 +8,14 @@
 //!   test --test store_compat` only after an *intentional* v1 format
 //!   change (there should never be one — v1 is frozen).
 //! * Future format versions (v3+) must fail with
-//!   [`StoreError::UnsupportedVersion`], not misparse.
+//!   [`StoreError::UnsupportedVersion`] through [`read_store`], not
+//!   misparse.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use st_inspector::prelude::*;
-use st_inspector::store::{to_bytes, to_bytes_v1, StoreError};
+use st_inspector::store::{decode_v1, to_bytes, to_bytes_v1, StoreError};
 
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1_sample.stlog")
@@ -149,19 +150,14 @@ fn v1_fixture_is_read_byte_for_byte_identically() {
     );
 
     // Decoder pin: the pinned bytes decode to exactly the reference
-    // log, symbol ids included.
-    let dir = std::env::temp_dir().join(format!("st-v1-fixture-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let copy = dir.join("v1_sample.stlog");
-    std::fs::write(&copy, &pinned).unwrap();
-    let reader = StoreReader::open(&copy).unwrap();
-    assert_eq!(reader.version(), 1);
-    let decoded = reader.read().unwrap();
+    // log, symbol ids included — directly and through the version
+    // dispatch of `read_store`.
+    let decoded = decode_v1(pinned.into()).unwrap();
     assert_logs_identical(&decoded, &expected);
+    assert_logs_identical(&read_store(&fixture_path()).unwrap(), &expected);
     // Path-filtered v1 reads keep working too.
-    let filtered = reader.read_filtered("/scratch").unwrap();
+    let filtered = decoded.filter_path_contains("/scratch");
     assert_eq!(filtered.total_events(), 4);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -173,8 +169,8 @@ fn v1_and_v2_decode_the_same_log() {
     let p2 = dir.join("two.stlog");
     std::fs::write(&p1, to_bytes_v1(&log).unwrap()).unwrap();
     std::fs::write(&p2, to_bytes(&log).unwrap()).unwrap();
-    let via_v1 = StoreReader::open(&p1).unwrap().read().unwrap();
-    let via_v2 = StoreReader::open(&p2).unwrap().read().unwrap();
+    let via_v1 = read_store(&p1).unwrap();
+    let via_v2 = read_store(&p2).unwrap();
     assert_logs_identical(&via_v1, &via_v2);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -190,7 +186,7 @@ fn future_versions_fail_with_unsupported_version() {
     v3[8] = 3;
     let p = dir.join("three.stlog");
     std::fs::write(&p, &v3).unwrap();
-    match StoreReader::open(&p) {
+    match read_store(&p) {
         Err(StoreError::UnsupportedVersion(3)) => {}
         other => panic!("expected UnsupportedVersion(3), got {other:?}"),
     }
@@ -200,7 +196,7 @@ fn future_versions_fail_with_unsupported_version() {
     let mut spliced = to_bytes(&reference_log()).unwrap().to_vec();
     spliced[8] = 77;
     std::fs::write(&p, &spliced).unwrap();
-    match StoreReader::open(&p) {
+    match read_store(&p) {
         Err(StoreError::UnsupportedVersion(77)) => {}
         other => panic!("expected UnsupportedVersion(77), got {other:?}"),
     }

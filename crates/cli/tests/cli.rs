@@ -1381,3 +1381,61 @@ fn serve_daemon_end_to_end_matches_offline_query_and_fscks_clean() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[cfg(unix)]
+#[test]
+fn serve_daemon_exits_cleanly_on_sigterm() {
+    use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGTERM: i32 = 15;
+
+    let dir = tmpdir("serve-sigterm");
+    let store = dir.join("live.stlog2");
+    let mut child = stinspect()
+        .args(["serve", "-o"])
+        .arg(&store)
+        .args(["--addr", "127.0.0.1:0"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).unwrap();
+    let addr = banner
+        .split("http://")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .expect("banner carries the bound address")
+        .to_string();
+
+    let body = "9054  08:55:54.153994 read(3</usr/lib/libc.so.6>, \"...\", 832) = 832 <0.000203>\n";
+    let mut s = std::net::TcpStream::connect(&addr).unwrap();
+    write!(
+        s,
+        "POST /ingest/a_host1_9042.st HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{}",
+        body.len(),
+        body
+    )
+    .unwrap();
+    let mut resp = String::new();
+    s.read_to_string(&mut resp).unwrap();
+    assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+
+    // SIGTERM alone (no request follows) stops the daemon: it drains,
+    // seals the store and exits 0.
+    assert_eq!(unsafe { kill(child.id() as i32, SIGTERM) }, 0);
+    let status = child.wait().unwrap();
+    assert!(status.success(), "{status:?}");
+
+    let out = stinspect().arg("fsck").arg(&store).output().unwrap();
+    assert!(
+        out.status.success(),
+        "fsck after SIGTERM: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -5,12 +5,25 @@
 //! # Architecture
 //!
 //! One accept-loop thread plus one thread per connection (`std::net`,
-//! no async runtime). Each ingest connection streams its POST body
-//! line-at-a-time through [`st_strace::StreamParser`] and folds mapped
-//! activities into a per-stream [`DfgAccumulator`]; `GET /dfg` merges
-//! the per-stream partials by name-aligned vector addition — the same
-//! mechanism `Dfg::par_from_mapped` uses for its worker partials —
-//! so the live graph is a merge, never a rescan.
+//! no async runtime). The accept loop blocks in `accept`, so a request
+//! is picked up as soon as it arrives. Shutdown — [`Handle::shutdown`],
+//! dropping the [`Handle`], `POST /shutdown` or a handled signal — sets
+//! a flag and then wakes the loop with one throwaway connection to the
+//! bound address, which the loop drops unserved. Signals cannot wake a
+//! blocked `accept` themselves (std retries on `EINTR`), so with
+//! [`ServeConfig::handle_signals`] a small watcher thread polls
+//! [`sig::TRIGGERED`] and requests the shutdown; the default
+//! configuration starts no thread besides the accept loop.
+//!
+//! Each ingest connection streams its POST body line-at-a-time through
+//! [`st_strace::StreamParser`] and folds mapped activities into a
+//! per-stream [`DfgAccumulator`]; `GET /dfg` merges the per-stream
+//! partials by name-aligned vector addition — the same mechanism
+//! `Dfg::par_from_mapped` uses for its worker partials — so the live
+//! graph is a merge, never a rescan. An in-flight partial follows
+//! strace's completion order; when its stream completes, the partial
+//! is replaced by one folded from the start-sorted case, so once every
+//! stream is done `/dfg` equals the batch DFG over the sealed store.
 //!
 //! Completed streams are pushed into a shared [`StoreBuilder`] and
 //! published with [`StoreBuilder::checkpoint`]: fsync + atomic rename,
@@ -35,7 +48,7 @@
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -74,8 +87,9 @@ pub struct ServeConfig {
     pub tail_capacity: usize,
     /// Socket read/write timeout, so dead peers release their slot.
     pub io_timeout_ms: u64,
-    /// Whether the accept loop also honors SIGTERM/SIGINT (used by the
-    /// CLI; tests drive shutdown through the API or `POST /shutdown`).
+    /// Whether SIGTERM/SIGINT shut the daemon down (used by the CLI;
+    /// tests drive shutdown through the API or `POST /shutdown`). Starts
+    /// a watcher thread that polls [`sig::TRIGGERED`].
     pub handle_signals: bool,
     /// Enable st-obs at startup so `/metrics` has data.
     pub metrics: bool,
@@ -106,7 +120,8 @@ impl ServeConfig {
 pub mod sig {
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    /// Set by the handler; polled by accept loops started with
+    /// Set by the handler; polled by the watcher thread of daemons
+    /// started with
     /// [`ServeConfig::handle_signals`](super::ServeConfig::handle_signals).
     pub static TRIGGERED: AtomicBool = AtomicBool::new(false);
 
@@ -162,6 +177,9 @@ struct CachedQuery {
 
 struct Shared {
     config: ServeConfig,
+    /// Where [`request_shutdown`] connects to wake the blocked accept
+    /// loop: the bound address, with loopback for an unspecified IP.
+    wake_addr: SocketAddr,
     interner: Arc<Interner>,
     shutdown: AtomicBool,
     active_conns: AtomicUsize,
@@ -186,6 +204,9 @@ pub struct Handle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
+    /// The signal watcher, started only with
+    /// [`ServeConfig::handle_signals`].
+    signals: Option<JoinHandle<()>>,
 }
 
 impl Handle {
@@ -203,8 +224,7 @@ impl Handle {
     /// drains in-flight ones, then seals and finishes the store.
     /// Returns immediately; [`Handle::join`] observes completion.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.tail_cv.notify_all();
+        request_shutdown(&self.shared);
     }
 
     /// Waits for the daemon to exit (after [`Handle::shutdown`],
@@ -214,6 +234,10 @@ impl Handle {
         if let Some(h) = self.accept.take() {
             h.join()
                 .map_err(|_| std::io::Error::other("accept thread panicked"))?;
+        }
+        if let Some(h) = self.signals.take() {
+            h.join()
+                .map_err(|_| std::io::Error::other("signal watcher panicked"))?;
         }
         match self.shared.finish_error.lock().expect("lock").take() {
             Some(msg) => Err(std::io::Error::other(msg)),
@@ -225,8 +249,10 @@ impl Handle {
 impl Drop for Handle {
     fn drop(&mut self) {
         if let Some(h) = self.accept.take() {
-            self.shared.shutdown.store(true, Ordering::SeqCst);
-            self.shared.tail_cv.notify_all();
+            request_shutdown(&self.shared);
+            let _ = h.join();
+        }
+        if let Some(h) = self.signals.take() {
             let _ = h.join();
         }
     }
@@ -243,8 +269,14 @@ impl Daemon {
             st_obs::set_enabled(true);
         }
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let mut wake_addr = addr;
+        if addr.ip().is_unspecified() {
+            wake_addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let interner = Arc::new(Interner::new());
         let builder =
             StoreBuilder::create_blocked(&config.store_path, interner.clone(), config.block_events)
@@ -252,6 +284,7 @@ impl Daemon {
         let tail_capacity = config.tail_capacity;
         let shared = Arc::new(Shared {
             config,
+            wake_addr,
             interner,
             shutdown: AtomicBool::new(false),
             active_conns: AtomicUsize::new(0),
@@ -281,11 +314,23 @@ impl Daemon {
         let accept = std::thread::Builder::new()
             .name("st-serve-accept".to_string())
             .spawn(move || accept_loop(listener, accept_shared))?;
-        Ok(Handle {
+        let mut handle = Handle {
             addr,
             shared,
             accept: Some(accept),
-        })
+            signals: None,
+        };
+        #[cfg(unix)]
+        if handle.shared.config.handle_signals {
+            let watch_shared = handle.shared.clone();
+            // On a spawn error, dropping `handle` stops the accept loop.
+            handle.signals = Some(
+                std::thread::Builder::new()
+                    .name("st-serve-signals".to_string())
+                    .spawn(move || watch_signals(&watch_shared))?,
+            );
+        }
+        Ok(handle)
     }
 }
 
@@ -299,6 +344,41 @@ impl Drop for ConnGuard {
     }
 }
 
+/// Pause after a failed `accept`, so a persistent error (`EMFILE`,
+/// say) cannot spin the loop.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// How long the wake-up connect may take before giving up (only a full
+/// backlog makes it wait, and then the loop is accepting anyway).
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// How often the signal watcher looks at [`sig::TRIGGERED`].
+#[cfg(unix)]
+const SIGNAL_POLL: Duration = Duration::from_millis(50);
+
+/// The one shutdown path: sets the flag, wakes `/tail` long-polls, and
+/// wakes the accept loop out of its blocking `accept` with a throwaway
+/// connection, which the loop drops unserved.
+fn request_shutdown(shared: &Shared) {
+    shared.shutdown.store(true, Ordering::SeqCst);
+    shared.tail_cv.notify_all();
+    let _ = TcpStream::connect_timeout(&shared.wake_addr, WAKE_TIMEOUT);
+}
+
+/// Signal watcher of daemons started with
+/// [`ServeConfig::handle_signals`]: turns [`sig::TRIGGERED`] into a
+/// shutdown request, and exits once the daemon is shutting down.
+#[cfg(unix)]
+fn watch_signals(shared: &Shared) {
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        if sig::TRIGGERED.load(Ordering::SeqCst) {
+            request_shutdown(shared);
+            return;
+        }
+        std::thread::sleep(SIGNAL_POLL);
+    }
+}
+
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     // The `serve` span stays open for the daemon's lifetime; its
     // context is attached by every connection thread so their spans
@@ -307,16 +387,16 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let ctx = st_obs::context();
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
     loop {
-        #[cfg(unix)]
-        if shared.config.handle_signals && sig::TRIGGERED.load(Ordering::SeqCst) {
-            shared.shutdown.store(true, Ordering::SeqCst);
-        }
+        // About to block: a quiescent point for this long-lived thread.
+        st_obs::flush_current_thread();
+        let accepted = listener.accept();
+        // Shutdown was requested while blocked: this is the wake-up
+        // connection (or a late peer), dropped without being served.
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
-                let _ = stream.set_nonblocking(false);
                 if shared.active_conns.load(Ordering::SeqCst) >= shared.config.max_conns {
                     shared.conns_rejected.fetch_add(1, Ordering::SeqCst);
                     st_obs::add("serve.conns_rejected", 1);
@@ -357,15 +437,15 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 }
                 workers.retain(|h| !h.is_finished());
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                // Idle: a quiescent point for this long-lived thread.
-                st_obs::flush_current_thread();
-                std::thread::sleep(Duration::from_millis(25));
+            Err(_) => {
+                st_obs::add("serve.accept_errors", 1);
+                std::thread::sleep(ACCEPT_BACKOFF);
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(25)),
         }
     }
-    // Drain in-flight connections, then seal the container for good.
+    // Refuse late connections instead of leaving them in the backlog,
+    // drain in-flight ones, then seal the container for good.
+    drop(listener);
     for h in workers {
         let _ = h.join();
     }
@@ -442,8 +522,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         }
         ("POST", "/shutdown") => {
             respond_text(&mut writer, 200, "shutting down\n");
-            shared.shutdown.store(true, Ordering::SeqCst);
-            shared.tail_cv.notify_all();
+            request_shutdown(shared);
         }
         (_, "/query" | "/stats" | "/dfg" | "/tail" | "/metrics" | "/status" | "/shutdown") => {
             respond_text(&mut writer, 405, "method not allowed\n");
@@ -514,11 +593,12 @@ fn handle_ingest(
         .expect("live lock")
         .open
         .push(acc.clone());
-    let deregister = |drop_partial: bool| {
+    // Unregisters the partial; a completed stream's case DFG takes its
+    // place in the sealed accumulator.
+    let deregister = |completed: Option<&DfgAccumulator>| {
         let mut live = shared.live.lock().expect("live lock");
-        if !drop_partial {
-            let sealed_ref = acc.lock().expect("acc lock");
-            live.sealed.merge(&sealed_ref);
+        if let Some(case) = completed {
+            live.sealed.merge(case);
         }
         live.open.retain(|a| !Arc::ptr_eq(a, &acc));
     };
@@ -533,7 +613,7 @@ fn handle_ingest(
         let n = match body.read_line(&mut line) {
             Ok(n) => n,
             Err(e) => {
-                deregister(true);
+                deregister(None);
                 respond_text(writer, 400, &format!("ingest read failed: {e}\n"));
                 return;
             }
@@ -547,7 +627,7 @@ fn handle_ingest(
             batch_budget = 0;
             drain_new_events(shared, &meta, &mut parser, &acc, &mapping);
             if parser.events_parsed() > shared.config.max_stream_events {
-                deregister(true);
+                deregister(None);
                 respond_text(writer, 413, "stream exceeds max_stream_events\n");
                 return;
             }
@@ -556,8 +636,17 @@ fn handle_ingest(
     drain_new_events(shared, &meta, &mut parser, &acc, &mapping);
     let lines_fed = parser.lines_fed();
     let parsed = parser.finish();
-    acc.lock().expect("acc lock").close_trace();
-    deregister(false);
+    // The in-flight partial saw events in completion order; the batch
+    // DFG walks the case in start order, so refold the sorted case.
+    let snap = shared.interner.snapshot();
+    let ctx = MapCtx { snapshot: &snap };
+    let mut case_dfg = DfgAccumulator::new();
+    let mut activity = String::new();
+    for e in &parsed.events {
+        observe_event(&mut case_dfg, &mapping, &ctx, &meta, e, &mut activity);
+    }
+    case_dfg.close_trace();
+    deregister(Some(&case_dfg));
 
     // Seal: append the completed, start-sorted case and (by default)
     // publish a checkpoint so the data is durable and queryable.
@@ -598,6 +687,22 @@ fn handle_ingest(
     }
 }
 
+/// Appends `e`'s activity, if `mapping` maps it, to `acc`'s open trace.
+/// `activity` is scratch space reused across calls.
+fn observe_event(
+    acc: &mut DfgAccumulator,
+    mapping: &CallTopDirs,
+    ctx: &MapCtx<'_>,
+    meta: &CaseMeta,
+    e: &Event,
+    activity: &mut String,
+) {
+    activity.clear();
+    if mapping.write_activity(ctx, meta, e, activity) {
+        acc.observe(activity);
+    }
+}
+
 /// Folds newly parsed events into the stream's DFG partial and the
 /// `/tail` ring. One interner snapshot per batch.
 fn drain_new_events(
@@ -616,9 +721,7 @@ fn drain_new_events(
         let mut acc = acc.lock().expect("acc lock");
         for e in parser.poll_events() {
             count += 1;
-            if mapping.write_activity(&ctx, meta, e, &mut activity) {
-                acc.observe(&activity);
-            }
+            observe_event(&mut acc, mapping, &ctx, meta, e, &mut activity);
             tail_lines.push(tail_line(meta, e, &snap));
         }
     }
@@ -694,9 +797,9 @@ fn respond_query(shared: &Arc<Shared>, req: &Request, emit: &str, writer: &mut T
     let generation = shared.generation.load(Ordering::SeqCst);
     // Warm path: at an unchanged checkpoint generation, re-filter the
     // cached session through its decoded-block cache instead of
-    // reopening and rescanning the container.
-    let mut cache = shared.query.lock().expect("query lock");
-    let cached = cache.take();
+    // reopening and rescanning the container. The lock is held only to
+    // take the session; concurrent queries meanwhile open their own.
+    let cached = shared.query.lock().expect("query lock").take();
     let session = match (cached, &pred) {
         (Some(c), Some(p)) if c.generation == generation && c.session.can_refilter() => {
             match c.session.refilter(p.clone()) {
@@ -709,7 +812,6 @@ fn respond_query(shared: &Arc<Shared>, req: &Request, emit: &str, writer: &mut T
     let session = match session {
         Ok(s) => s,
         Err((status, msg)) => {
-            drop(cache);
             respond_text(writer, status, &msg);
             return;
         }
@@ -734,7 +836,6 @@ fn respond_query(shared: &Arc<Shared>, req: &Request, emit: &str, writer: &mut T
             )
         }
         other => {
-            drop(cache);
             respond_text(
                 writer,
                 400,
@@ -743,10 +844,14 @@ fn respond_query(shared: &Arc<Shared>, req: &Request, emit: &str, writer: &mut T
             return;
         }
     };
-    *cache = Some(CachedQuery {
-        generation,
-        session,
-    });
+    // Return the session unless a newer generation's is cached already.
+    let mut cache = shared.query.lock().expect("query lock");
+    if cache.as_ref().is_none_or(|c| c.generation <= generation) {
+        *cache = Some(CachedQuery {
+            generation,
+            session,
+        });
+    }
     drop(cache);
     let _ = write_response(writer, 200, content_type, &[], body.as_bytes());
 }

@@ -218,8 +218,8 @@ fn concurrent_ingest_matches_offline_pipeline() {
     assert_eq!(status, 200);
     let dot = String::from_utf8(dot).unwrap();
     assert!(dot.starts_with("digraph"), "{dot}");
-    assert!(dot.contains("read:/data"), "{dot}");
-    assert!(dot.contains("write:/data"), "{dot}");
+    assert!(dot.contains("label=\"read\\n/data/s"), "{dot}");
+    assert!(dot.contains("label=\"write\\n/data/out\""), "{dot}");
 
     let (status, _, _) = http(addr, b"POST /shutdown HTTP/1.1\r\nHost: x\r\n\r\n");
     assert_eq!(status, 200);
@@ -339,5 +339,247 @@ fn tail_long_polls_and_metrics_report() {
 
     handle.shutdown();
     handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A strace stream from three processes of one rank, with some `read`s
+/// split into `<unfinished ...>`/`resumed` pairs around another pid's
+/// `write`: strace completes those events after a later-starting one,
+/// so completion order and start order differ.
+fn multi_pid_stream_text(i: usize, records: usize) -> String {
+    let ts = |t: usize| format!("09:00:{:02}.{:06}", 10 + t / 1_000_000, t % 1_000_000);
+    let mut out = String::new();
+    let mut t = 0usize;
+    for j in 0..records {
+        let pid = 100 * (i + 1) + j % 3;
+        let dir = (i + j) % 3;
+        if j % 7 == 3 {
+            let other = pid + 10;
+            out.push_str(&format!(
+                "{pid}  {} read(3</data/s{dir}/f{}>, <unfinished ...>\n",
+                ts(t),
+                j % 4
+            ));
+            out.push_str(&format!(
+                "{other}  {} write(4</data/out/log{i}>, \"...\", 50) = 50 <0.000011>\n",
+                ts(t + 5)
+            ));
+            out.push_str(&format!(
+                "{pid}  {} <... read resumed> \"...\", 832) = 832 <0.000020>\n",
+                ts(t + 20)
+            ));
+        } else if j % 11 == 5 {
+            out.push_str(&format!(
+                "{pid}  {} openat(AT_FDCWD, \"/usr/lib/x86_64-linux-gnu/libc{j}.so\", O_RDONLY|O_CLOEXEC) = 3</usr/lib/x86_64-linux-gnu/libc{j}.so> <0.000031>\n",
+                ts(t)
+            ));
+        } else {
+            out.push_str(&format!(
+                "{pid}  {} read(3</data/s{dir}/f{}>, \"...\", 832) = 832 <0.000009>\n",
+                ts(t),
+                j % 4
+            ));
+        }
+        t += 40;
+    }
+    out
+}
+
+/// `(activity labels, (from, to) → count)` of a DOT body as
+/// `render_dot_plain` writes it, with activities named by their label
+/// and the markers by their ids (`start`, `end`). Node ids depend on
+/// the order in which activities were discovered, so graphs are
+/// compared through labels.
+type NamedDfg = (
+    std::collections::BTreeSet<String>,
+    std::collections::BTreeMap<(String, String), u64>,
+);
+
+fn named_dfg(dot: &str) -> NamedDfg {
+    let mut labels: std::collections::BTreeMap<String, String> = Default::default();
+    let mut edges = std::collections::BTreeMap::new();
+    for line in dot.lines().map(str::trim) {
+        let Some((lhs, attrs)) = line.split_once(" [label=\"") else {
+            continue;
+        };
+        let label = attrs.split_once('"').expect("closed label").0.to_string();
+        match lhs.split_once(" -> ") {
+            Some((from, to)) => {
+                let name = |id: &str| labels.get(id).cloned().unwrap_or_else(|| id.to_string());
+                let count: u64 = label.parse().expect("edge label is a count");
+                let key = (name(from), name(to));
+                assert!(edges.insert(key, count).is_none(), "duplicate edge {line}");
+            }
+            None if lhs.starts_with('n') => {
+                labels.insert(lhs.to_string(), label);
+            }
+            None => {}
+        }
+    }
+    (labels.into_values().collect(), edges)
+}
+
+#[test]
+fn live_dfg_equals_batch_dfg_over_sealed_store() {
+    let dir = tempdir("dfg");
+    let store = dir.join("live.stlog2");
+    let handle = Daemon::start(ServeConfig::new(&store)).unwrap();
+    let addr = handle.addr();
+    let texts: Vec<String> = (0..4).map(|i| multi_pid_stream_text(i, 400)).collect();
+    let name = |i: usize| format!("m{i}_host{}_{}.st", i % 2, 500 + i);
+
+    // Every activity the finished graph may hold, as its DOT label
+    // (`call\npath`), from an offline parse of all the texts.
+    let interner = st_model::Interner::new();
+    let mut names = std::collections::BTreeSet::new();
+    for (i, text) in texts.iter().enumerate() {
+        let meta = st_model::CaseMeta::parse_trace_file_name(&name(i), &interner).unwrap();
+        let parsed = st_strace::parse_str(text, &interner);
+        assert!(parsed.warnings.is_empty(), "{:?}", parsed.warnings);
+        let snap = interner.snapshot();
+        let ctx = st_core::mapping::MapCtx { snapshot: &snap };
+        for e in &parsed.events {
+            let name =
+                st_core::Mapping::activity_name(&st_core::CallTopDirs::new(2), &ctx, &meta, e);
+            names.insert(name.unwrap().replacen(':', "\\n", 1));
+        }
+    }
+
+    // Stream 0 stops midway, past one 256-line ingest batch: its
+    // in-flight partial already shows in /dfg, with well-formed names.
+    let (head, tail) = texts[0].split_at(texts[0].match_indices('\n').nth(299).unwrap().0 + 1);
+    let mut open = TcpStream::connect(addr).unwrap();
+    write!(
+        open,
+        "POST /ingest/{} HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n{:x}\r\n{head}\r\n",
+        name(0),
+        head.len()
+    )
+    .unwrap();
+    open.flush().unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let ingested = || -> u64 {
+        let status = String::from_utf8(get(addr, "/status").2).unwrap();
+        let field = status
+            .split_whitespace()
+            .find_map(|f| f.strip_prefix("events_ingested="));
+        field.unwrap().parse().unwrap()
+    };
+    while ingested() == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "first batch never drained"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let (status, _, dot) = get(addr, "/dfg");
+    assert_eq!(status, 200);
+    let (live_nodes, _) = named_dfg(&String::from_utf8(dot).unwrap());
+    assert!(!live_nodes.is_empty());
+    assert!(live_nodes.is_subset(&names), "{live_nodes:?} ⊄ {names:?}");
+
+    for (i, text) in texts.iter().enumerate().skip(1) {
+        let (status, body) = ingest_chunked(addr, &name(i), text);
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    }
+    write!(open, "{:x}\r\n{tail}\r\n0\r\n\r\n", tail.len()).unwrap();
+    let mut resp = String::new();
+    open.read_to_string(&mut resp).unwrap();
+    assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+
+    // Every stream is done: the live graph is the batch topdirs:2 DFG
+    // over the sealed store, node for node and edge count for edge count.
+    let (status, _, dot) = get(addr, "/dfg");
+    assert_eq!(status, 200);
+    let live = named_dfg(&String::from_utf8(dot).unwrap());
+    handle.shutdown();
+    handle.join().unwrap();
+    let batch = st_source::Inspector::open(&store.display().to_string())
+        .unwrap()
+        .map_boxed(Box::new(st_core::CallTopDirs::new(2)))
+        .session()
+        .unwrap()
+        .dfg();
+    let batch = named_dfg(&st_core::render::render_dot_plain(&batch));
+    assert_eq!(live.0, batch.0);
+    assert_eq!(live.1, batch.1);
+    assert_eq!(live.0, names);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_queries_match_offline_bodies() {
+    let dir = tempdir("queries");
+    let store = dir.join("live.stlog2");
+    let mut config = ServeConfig::new(&store);
+    config.block_events = 16;
+    let handle = Daemon::start(config).unwrap();
+    let addr = handle.addr();
+    for i in 0..4 {
+        let (status, _) = ingest_chunked(
+            addr,
+            &format!("q{i}_hostA_{}.st", 300 + i),
+            &stream_text(i, 60),
+        );
+        assert_eq!(status, 200);
+    }
+
+    // Eight connections query one checkpoint generation at once; no
+    // lock serializes them, and every body equals the offline CLI's.
+    let filter = r#"class=read path~"/data/*""#;
+    let emits = ["events", "stats", "dfg"];
+    let start = std::sync::Arc::new(std::sync::Barrier::new(8));
+    let clients: Vec<_> = (0..8)
+        .map(|k| {
+            let target = format!("/query?filter={}&emit={}", encode(filter), emits[k % 3]);
+            let start = start.clone();
+            std::thread::spawn(move || {
+                start.wait();
+                get(addr, &target)
+            })
+        })
+        .collect();
+    let store_spec = store.display().to_string();
+    for (k, client) in clients.into_iter().enumerate() {
+        let (status, _, body) = client.join().unwrap();
+        assert_eq!(status, 200);
+        let offline = offline_query_body(&store_spec, Some(filter), emits[k % 3]);
+        assert_eq!(String::from_utf8(body).unwrap(), offline, "query {k}");
+    }
+    handle.shutdown();
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Starts `config`'s daemon and shuts it down without it ever seeing a
+/// connection; the join must finish within 2 s of the request.
+fn shutdown_idle(config: ServeConfig) {
+    let handle = Daemon::start(config).unwrap();
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.shutdown();
+        let _ = done.send(handle.join());
+    });
+    joined
+        .recv_timeout(std::time::Duration::from_secs(2))
+        .expect("daemon joins within 2 s of shutdown")
+        .unwrap();
+}
+
+#[test]
+fn idle_daemon_shuts_down_promptly() {
+    let dir = tempdir("idle");
+    shutdown_idle(ServeConfig::new(dir.join("live.stlog2")));
+    let salvaged = st_store::open_salvage_seek(&dir.join("live.stlog2")).unwrap();
+    assert!(salvaged.report.is_clean(), "{:?}", salvaged.report);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn daemon_bound_to_unspecified_address_shuts_down_promptly() {
+    let dir = tempdir("unspecified");
+    let mut config = ServeConfig::new(dir.join("live.stlog2"));
+    config.addr = "0.0.0.0:0".to_string();
+    shutdown_idle(config);
     let _ = std::fs::remove_dir_all(&dir);
 }

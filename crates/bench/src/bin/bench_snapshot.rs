@@ -1,8 +1,12 @@
 //! `bench_snapshot` — records the ingestion/DFG performance trajectory.
 //!
-//! Runs the parser and DFG-build experiments (sequential baselines plus
-//! a thread sweep of the parallel paths), the filter-scan throughput
-//! probes, the store predicate-pushdown comparison (full-load scan
+//! Runs the parser experiments (sequential baseline plus a thread sweep
+//! of the parallel parser), the mapping, DFG-build and activity-log
+//! rows, the statistics scaling rows in n and m (the paper's O(mn)
+//! claim, Sec. V), windowed vs exact max concurrency (Eq. 16), dense
+//! rendering in m (the O(m²) claim), the per-figure end-to-end
+//! regenerations, the filter-scan and slice-projection probes, the
+//! store predicate-pushdown comparison (full-load scan
 //! vs zone-map block pruning at 0.1%/10%/100% selectivity), the
 //! out-of-core comparison (bytes fetched off disk by the seek reader
 //! at each selectivity, plus the streaming writer's wall time and
@@ -24,19 +28,22 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use st_bench::experiments::{ior_mpiio, ior_ssf_fpp, ls_experiment, site_mapping, Scale};
 use st_bench::synth::{generate, generate_strace_text, SynthSpec};
+use st_core::concurrency::{max_concurrency_exact, max_concurrency_windowed};
 use st_core::prelude::*;
-use st_model::{Case, CaseMeta, EventLog, Interner, Micros};
+use st_model::{Case, CaseMeta, Event, EventLog, Interner, Micros, Pid, Syscall};
 use st_query::pushdown::{read_pruned, read_pruned_par, ColumnSet};
-use st_query::{parse_expr, scan, scan_par, Predicate};
+use st_query::{group_by, parse_expr, scan, scan_par, GroupKey, Predicate};
 use st_store::{BytesSegment, SegmentReader, SegmentSource, StoreBuilder};
 use st_strace::{parse_par, parse_reader, parse_str};
 
 /// Reference DFG accumulation the dense path replaced: one ordered-map
 /// lookup per edge increment and per occurrence count (the seed
 /// strategy). Measured here so the dense-accumulator speedup stays
-/// visible in the snapshot even on single-core machines where the
-/// parallel sweep cannot show scaling.
+/// visible in the snapshot.
 fn btreemap_reference_build(mapped: &MappedLog<'_>) -> u64 {
     let mut edges: BTreeMap<(u32, u32), u64> = BTreeMap::new();
     let mut occurrences: BTreeMap<u32, u64> = BTreeMap::new();
@@ -77,12 +84,54 @@ impl<M: Mapping> Mapping for Unmemoized<M> {
     }
 }
 
-/// Best-of-N wall time of `f` (minimum over repetitions).
+/// A log whose DFG is (almost) complete over `m` activities: one long
+/// case visiting every ordered pair `(i, j)` back to back, so the edge
+/// list — and the rendering — is quadratic in `m`.
+fn dense_log(m: usize) -> EventLog {
+    let mut log = EventLog::with_new_interner();
+    let interner = std::sync::Arc::clone(log.interner());
+    let meta = CaseMeta {
+        cid: interner.intern("dense"),
+        host: interner.intern("h"),
+        rid: 0,
+    };
+    let paths: Vec<_> = (0..m)
+        .map(|i| interner.intern(&format!("/d{i}/f")))
+        .collect();
+    let mut events = Vec::with_capacity(2 * m * m);
+    let mut t = 0u64;
+    for i in 0..m {
+        for j in 0..m {
+            for path in [paths[i], paths[j]] {
+                events.push(
+                    Event::new(Pid(1), Syscall::Read, Micros(t), Micros(1), path).with_size(8),
+                );
+                t += 2;
+            }
+        }
+    }
+    log.push_case(Case::from_events(meta, events));
+    log
+}
+
+/// `n` random intervals over a 1 s span, 1–5 ms long.
+fn random_intervals(n: usize, seed: u64) -> Vec<(Micros, Micros)> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            let s = rng.gen_range(0..1_000_000u64);
+            let d = rng.gen_range(1..5_000u64);
+            (Micros(s), Micros(s + d))
+        })
+        .collect()
+}
+
 /// An in-memory container image as a zero-copy segment source.
 fn image_source(image: &bytes::Bytes) -> std::sync::Arc<dyn SegmentSource> {
     std::sync::Arc::new(BytesSegment::new(image.clone()))
 }
 
+/// Best-of-N wall time of `f` (minimum over repetitions).
 fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
     let mut best: Option<Duration> = None;
     let mut last = None;
@@ -159,7 +208,7 @@ fn main() {
         ));
     }
 
-    // ---- DFG: mapping apply + build, sequential + map-reduce ---------
+    // ---- DFG: mapping apply, build and activity-log multiset ---------
     let spec = SynthSpec {
         cases: 32,
         events_per_case: dfg_events / 32,
@@ -188,17 +237,217 @@ fn main() {
     let mapped = MappedLog::new(&log, &CallTopDirs::new(2));
     let (build_dt, edge_obs) =
         time_best(reps, || Dfg::from_mapped(&mapped).total_edge_observations());
-    let (build4_dt, edge_obs4) = time_best(reps, || {
-        Dfg::par_from_mapped(&mapped, 4).total_edge_observations()
-    });
-    assert_eq!(edge_obs, edge_obs4);
     let (btree_dt, btree_obs) = time_best(reps, || btreemap_reference_build(&mapped));
     assert_eq!(btree_obs, edge_obs);
     let build_ns_per_event = build_dt.as_nanos() as f64 / n_events as f64;
     let dense_speedup = btree_dt.as_secs_f64() / build_dt.as_secs_f64();
+    let (alog_dt, _) = time_best(reps, || ActivityLog::from_mapped(&mapped).distinct_traces());
+    let alog_ns_per_event = alog_dt.as_nanos() as f64 / n_events as f64;
     eprintln!(
-        "dfg build: {n_events} events, {build_ns_per_event:.1} ns/event seq ({dense_speedup:.2}x vs BTreeMap ref), {:.1} ns/event x4",
-        build4_dt.as_nanos() as f64 / n_events as f64
+        "dfg build: {n_events} events, {build_ns_per_event:.1} ns/event ({dense_speedup:.2}x vs BTreeMap ref); activity log {alog_ns_per_event:.1} ns/event"
+    );
+
+    // ---- stats: IoStatistics::compute in n and m ---------------------
+    // The paper's O(mn) claim (Sec. V): one sweep over n events with m
+    // activities, timed at growing n (fixed mapping) and growing m
+    // (fixed n, deeper path prefixes), plus the paper-scale Sec. V-A log
+    // under the site mapping of Fig. 8a.
+    let stats_row = |log: &EventLog, mapping: &dyn Mapping, key: &str, value: usize| {
+        let mapped = MappedLog::new(log, mapping);
+        let (dt, activities) = time_best(reps, || IoStatistics::compute(&mapped).len());
+        let events = mapped.mapped_events();
+        let ns_per_event = dt.as_nanos() as f64 / events as f64;
+        eprintln!(
+            "stats {key}={value}: {events} events, m={activities}, {ns_per_event:.1} ns/event"
+        );
+        format!(
+            "{{\"{key}\": {value}, \"events\": {events}, \"activities\": {activities}, \"compute_ns\": {}, \"ns_per_event\": {ns_per_event:.3}}}",
+            dt.as_nanos()
+        )
+    };
+    let stats_n_sweep: [usize; 3] = if quick {
+        [2_500, 10_000, 40_000]
+    } else {
+        [10_000, 50_000, 200_000]
+    };
+    let stats_n_rows: Vec<String> = stats_n_sweep
+        .iter()
+        .map(|&events| {
+            let log = generate(&SynthSpec {
+                cases: 32,
+                events_per_case: events / 32,
+                paths: 64,
+                seed: 4,
+            });
+            stats_row(&log, &CallTopDirs::new(2), "target_events", events)
+        })
+        .collect();
+    let stats_m_rows: Vec<String> = [8usize, 64, 512]
+        .iter()
+        .map(|&paths| {
+            let log = generate(&SynthSpec {
+                cases: 32,
+                events_per_case: if quick { 500 } else { 2_000 },
+                paths,
+                seed: 5,
+            });
+            stats_row(&log, &CallTopDirs::new(4), "paths", paths)
+        })
+        .collect();
+    let ior_scale = if quick { Scale::Small } else { Scale::Paper };
+    let ior_ranks = ior_scale.config().total_ranks();
+    let stats_ior_row = stats_row(
+        &ior_ssf_fpp(ior_scale),
+        &site_mapping(&ior_scale.config(), 0),
+        "ranks",
+        ior_ranks,
+    );
+
+    // ---- concurrency: windowed Eq. 16 vs the exact sweep -------------
+    let conc_sweep: &[usize] = if quick {
+        &[1_000, 10_000]
+    } else {
+        &[1_000, 10_000, 100_000]
+    };
+    let conc_rows: Vec<String> = conc_sweep
+        .iter()
+        .map(|&n| {
+            let ivs = random_intervals(n, 7);
+            let (win_dt, win_max) = time_best(reps, || max_concurrency_windowed(&ivs));
+            let (exact_dt, exact_max) = time_best(reps, || max_concurrency_exact(&ivs));
+            assert!(win_max >= exact_max, "windowed bound below the exact max");
+            eprintln!(
+                "concurrency n={n}: windowed {:.2} ms (max {win_max}) vs exact {:.2} ms (max {exact_max})",
+                win_dt.as_nanos() as f64 / 1e6,
+                exact_dt.as_nanos() as f64 / 1e6,
+            );
+            format!(
+                "{{\"intervals\": {n}, \"windowed_ns\": {}, \"exact_ns\": {}, \"windowed_max\": {win_max}, \"exact_max\": {exact_max}}}",
+                win_dt.as_nanos(),
+                exact_dt.as_nanos(),
+            )
+        })
+        .collect();
+
+    // ---- render: dense DOT in m (the O(m²) claim) --------------------
+    let dense = |m: usize| {
+        let log = dense_log(m);
+        let mapped = MappedLog::new(&log, &CallTopDirs::new(2));
+        let dfg = Dfg::from_mapped(&mapped);
+        let stats = IoStatistics::compute(&mapped);
+        assert!(dfg.edges().count() >= m * m, "graph must be dense");
+        (dfg, stats)
+    };
+    let render_sweep: [usize; 3] = if quick { [10, 20, 40] } else { [10, 40, 80] };
+    let render_rows: Vec<String> = render_sweep
+        .iter()
+        .map(|&m| {
+            let (dfg, stats) = dense(m);
+            let (dt, dot_bytes) = time_best(reps, || {
+                render_dot(
+                    &dfg,
+                    Some(&stats),
+                    &StatisticsColoring::by_load(&stats),
+                    &RenderOptions::default(),
+                )
+                .len()
+            });
+            eprintln!(
+                "render m={m}: {} edges, {:.2} ms",
+                dfg.edges().count(),
+                dt.as_nanos() as f64 / 1e6
+            );
+            format!(
+                "{{\"m\": {m}, \"edges\": {}, \"dot_ns\": {}, \"dot_bytes\": {dot_bytes}}}",
+                dfg.edges().count(),
+                dt.as_nanos()
+            )
+        })
+        .collect();
+    let (summary_dt, _) = {
+        let (dfg, stats) = dense(40);
+        time_best(reps, || render_summary(&dfg, Some(&stats)).len())
+    };
+
+    // ---- figures: each paper figure regenerated end to end -----------
+    // simulate → map → DFG → stats → render; the IOR figures run at the
+    // reduced 8-rank scale (the `figures` binary does the 96-rank runs).
+    let (fig3_dt, _) = time_best(reps, || {
+        let exp = ls_experiment();
+        let mapping = CallTopDirs::new(2);
+        let mx = MappedLog::new(&exp.cx, &mapping);
+        let stats = IoStatistics::compute(&mx);
+        let dfg = Dfg::from_mapped(&mx);
+        let dfg_a = Dfg::from_mapped(&MappedLog::new(&exp.ca, &mapping));
+        let dfg_b = Dfg::from_mapped(&MappedLog::new(&exp.cb, &mapping));
+        render_dot(
+            &dfg,
+            Some(&stats),
+            &PartitionColoring::new(&dfg_a, &dfg_b),
+            &RenderOptions::default(),
+        )
+        .len()
+    });
+    let (fig4_dt, _) = time_best(reps, || {
+        let exp = ls_experiment();
+        let mapping = PathFilter::new("/usr/lib", PathSuffix::new("/usr/lib"));
+        let mapped = MappedLog::new(&exp.cx, &mapping);
+        let dfg = Dfg::from_mapped(&mapped);
+        let stats = IoStatistics::compute(&mapped);
+        render_dot(
+            &dfg,
+            Some(&stats),
+            &StatisticsColoring::by_load(&stats),
+            &RenderOptions::default(),
+        )
+        .len()
+    });
+    let (fig5_dt, _) = time_best(reps, || {
+        let exp = ls_experiment();
+        let mapped = MappedLog::new(&exp.cb, &CallTopDirs::new(2));
+        let tl = Timeline::for_activity(&mapped, "read:/usr/lib").expect("fig5 activity");
+        tl.render_ascii(72).len()
+    });
+    let (fig8_dt, _) = time_best(reps, || {
+        let config = Scale::Small.config();
+        let log = ior_ssf_fpp(Scale::Small);
+        let scratch = log.filter_path_contains(&config.paths.scratch);
+        let mapped = MappedLog::new(&scratch, &site_mapping(&config, 1));
+        let stats = IoStatistics::compute(&mapped);
+        let dfg = Dfg::from_mapped(&mapped);
+        render_dot(
+            &dfg,
+            Some(&stats),
+            &StatisticsColoring::by_load(&stats),
+            &RenderOptions::default(),
+        )
+        .len()
+    });
+    let (fig9_dt, _) = time_best(reps, || {
+        let config = Scale::Small.config();
+        let log = ior_mpiio(Scale::Small);
+        let mapping = site_mapping(&config, 0);
+        let (g, r) = log.partition_by_cid("g");
+        let mapped = MappedLog::new(&log, &mapping);
+        let stats = IoStatistics::compute(&mapped);
+        let dfg = Dfg::from_mapped(&mapped);
+        let dfg_g = Dfg::from_mapped(&MappedLog::new(&g, &mapping));
+        let dfg_r = Dfg::from_mapped(&MappedLog::new(&r, &mapping));
+        render_dot(
+            &dfg,
+            Some(&stats),
+            &PartitionColoring::new(&dfg_g, &dfg_r),
+            &RenderOptions::default(),
+        )
+        .len()
+    });
+    eprintln!(
+        "figures: fig3 {:.2} ms, fig4 {:.2} ms, fig5 {:.2} ms, fig8 {:.1} ms, fig9 {:.1} ms",
+        fig3_dt.as_nanos() as f64 / 1e6,
+        fig4_dt.as_nanos() as f64 / 1e6,
+        fig5_dt.as_nanos() as f64 / 1e6,
+        fig8_dt.as_nanos() as f64 / 1e6,
+        fig9_dt.as_nanos() as f64 / 1e6,
     );
 
     // ---- query: filter-scan throughput -------------------------------
@@ -222,6 +471,36 @@ fn main() {
         scan_sel_eps / 1e6,
         sel_matched,
         scan_par_dt.as_nanos() as f64 / 1e6,
+    );
+
+    // The three stages behind `stinspect query --group-by file --emit
+    // dfg` after the scan: explode a view into per-file groups, project
+    // one view to a DFG over the full log's mapping, and project every
+    // group (the per-file DFG family).
+    let project_events = if quick { 20_000usize } else { 100_000usize };
+    let project_log = generate(&SynthSpec {
+        cases: 32,
+        events_per_case: project_events / 32,
+        paths: 64,
+        seed: 10,
+    });
+    let project_mapped = MappedLog::new(&project_log, &CallTopDirs::new(2));
+    let project_view = scan(&project_log, &Predicate::True);
+    let (group_dt, groups) = time_best(reps, || group_by(&project_view, GroupKey::File).len());
+    let (view_dfg_dt, _) = time_best(reps, || {
+        Dfg::from_mapped_view(&project_mapped, &project_view).total_edge_observations()
+    });
+    let (family_dt, _) = time_best(reps, || {
+        group_by(&project_view, GroupKey::File)
+            .iter()
+            .map(|(_, v)| Dfg::from_mapped_view(&project_mapped, v).total_edge_observations())
+            .sum::<u64>()
+    });
+    eprintln!(
+        "query project: group_by file {:.2} ms ({groups} groups), dfg from view {:.2} ms, per-file family {:.2} ms",
+        group_dt.as_nanos() as f64 / 1e6,
+        view_dfg_dt.as_nanos() as f64 / 1e6,
+        family_dt.as_nanos() as f64 / 1e6,
     );
 
     // ---- store: predicate pushdown vs full-load scan ----------------
@@ -754,17 +1033,29 @@ fn main() {
     st_obs::reset();
 
     let json = format!(
-        "{{\n  \"quick\": {quick},\n  \"cores\": {cores},\n  \"parse\": {{\n    \"lines\": {parse_lines},\n    \"seq_ns\": {},\n    \"lines_per_sec\": {lines_per_sec:.1},\n    \"events_per_sec\": {lines_per_sec:.1},\n    \"reader_baseline_ns\": {},\n    \"thread_sweep\": [\n      {}\n    ]\n  }},\n  \"mapping\": {{\n    \"events\": {n_events},\n    \"apply_ns_per_event\": {:.3},\n    \"apply_unmemo_ns_per_event\": {:.3},\n    \"memo_speedup\": {memo_speedup:.4}\n  }},\n  \"dfg\": {{\n    \"events\": {n_events},\n    \"build_ns_per_event\": {build_ns_per_event:.3},\n    \"build_par4_ns_per_event\": {:.3},\n    \"btreemap_reference_ns_per_event\": {:.3},\n    \"dense_speedup_vs_btreemap\": {dense_speedup:.4},\n    \"edge_observations\": {edge_obs}\n  }},\n  \"query\": {{\n    \"events\": {n_events},\n    \"scan_pass_all_ns_per_event\": {:.3},\n    \"scan_pass_all_events_per_sec\": {scan_all_eps:.1},\n    \"scan_selective_ns_per_event\": {:.3},\n    \"scan_selective_events_per_sec\": {scan_sel_eps:.1},\n    \"selective_matched\": {sel_matched},\n    \"scan_pass_all_par4_ns_per_event\": {:.3}\n  }},\n  \"pushdown\": {{\n    \"events\": {pd_events},\n    \"store_bytes\": {},\n    \"block_events\": {},\n    \"selectivities\": [\n      {}\n    ]\n  }},\n  \"ooc\": {{\n    \"events\": {pd_events},\n    \"block_events\": {ooc_block_events},\n    \"file_bytes\": {ooc_file_len},\n    \"streaming_write_ns\": {},\n    \"resident_write_ns\": {},\n    \"peak_buffer_bytes\": {peak_buffer},\n    \"selectivities\": [\n      {}\n    ]\n  }},\n  \"requery\": {{\n    \"events\": {pd_events},\n    \"block_events\": {ooc_block_events},\n    \"matched\": {rq_cold_matched},\n    \"broad_matched\": {rq_broad_matched},\n    \"cold_ns\": {rq_cold_ns},\n    \"warm_ns\": {rq_warm_ns},\n    \"speedup\": {rq_speedup:.4},\n    \"cache_hits\": {rq_hits},\n    \"cache_misses\": {rq_misses},\n    \"hit_rate\": {rq_hit_rate:.4},\n    \"cache_resident_bytes\": {rq_resident},\n    \"warm_disk_bytes_read\": {rq_disk},\n    \"cold_ns_per_matched_event\": {rq_cold_npe:.1},\n    \"warm_ns_per_matched_event\": {rq_warm_npe:.1},\n    \"sched\": \"{rq_sched}\"\n  }},\n  \"salvage\": {{\n    \"events\": {pd_events},\n    \"strict_read_ns\": {},\n    \"clean_salvage_ns\": {},\n    \"clean_overhead_vs_strict\": {salvage_overhead:.4},\n    \"degraded_read_ns\": {},\n    \"degraded_events_recovered\": {},\n    \"degraded_blocks_recovered\": {},\n    \"blocks_total\": {}\n  }},\n  \"obs\": {{\n    \"lines\": {parse_lines},\n    \"disabled_ns\": {},\n    \"enabled_ns\": {},\n    \"enabled_over_disabled\": {obs_ratio:.4}\n  }},\n  \"serve\": [\n    {}\n  ],\n  \"source_open\": [\n    {}\n  ]\n}}\n",
+        "{{\n  \"quick\": {quick},\n  \"cores\": {cores},\n  \"parse\": {{\n    \"lines\": {parse_lines},\n    \"seq_ns\": {},\n    \"lines_per_sec\": {lines_per_sec:.1},\n    \"events_per_sec\": {lines_per_sec:.1},\n    \"reader_baseline_ns\": {},\n    \"thread_sweep\": [\n      {}\n    ]\n  }},\n  \"mapping\": {{\n    \"events\": {n_events},\n    \"apply_ns_per_event\": {:.3},\n    \"apply_unmemo_ns_per_event\": {:.3},\n    \"memo_speedup\": {memo_speedup:.4}\n  }},\n  \"dfg\": {{\n    \"events\": {n_events},\n    \"build_ns_per_event\": {build_ns_per_event:.3},\n    \"btreemap_reference_ns_per_event\": {:.3},\n    \"dense_speedup_vs_btreemap\": {dense_speedup:.4},\n    \"edge_observations\": {edge_obs},\n    \"activity_log_ns_per_event\": {alog_ns_per_event:.3}\n  }},\n  \"stats\": {{\n    \"vs_events\": [\n      {}\n    ],\n    \"vs_paths\": [\n      {}\n    ],\n    \"ior_ssf_fpp\": {stats_ior_row}\n  }},\n  \"concurrency\": [\n    {}\n  ],\n  \"render\": {{\n    \"dense_dot\": [\n      {}\n    ],\n    \"summary_m40_ns\": {}\n  }},\n  \"figures\": {{\n    \"fig3_ns\": {},\n    \"fig4_ns\": {},\n    \"fig5_ns\": {},\n    \"fig8_small_ns\": {},\n    \"fig9_small_ns\": {}\n  }},\n  \"query\": {{\n    \"events\": {n_events},\n    \"scan_pass_all_ns_per_event\": {:.3},\n    \"scan_pass_all_events_per_sec\": {scan_all_eps:.1},\n    \"scan_selective_ns_per_event\": {:.3},\n    \"scan_selective_events_per_sec\": {scan_sel_eps:.1},\n    \"selective_matched\": {sel_matched},\n    \"scan_pass_all_par4_ns_per_event\": {:.3},\n    \"project\": {{\n      \"events\": {project_events},\n      \"groups\": {groups},\n      \"group_by_file_ns\": {},\n      \"dfg_from_view_ns\": {},\n      \"per_file_dfg_family_ns\": {}\n    }}\n  }},\n  \"pushdown\": {{\n    \"events\": {pd_events},\n    \"store_bytes\": {},\n    \"block_events\": {},\n    \"selectivities\": [\n      {}\n    ]\n  }},\n  \"ooc\": {{\n    \"events\": {pd_events},\n    \"block_events\": {ooc_block_events},\n    \"file_bytes\": {ooc_file_len},\n    \"streaming_write_ns\": {},\n    \"resident_write_ns\": {},\n    \"peak_buffer_bytes\": {peak_buffer},\n    \"selectivities\": [\n      {}\n    ]\n  }},\n  \"requery\": {{\n    \"events\": {pd_events},\n    \"block_events\": {ooc_block_events},\n    \"matched\": {rq_cold_matched},\n    \"broad_matched\": {rq_broad_matched},\n    \"cold_ns\": {rq_cold_ns},\n    \"warm_ns\": {rq_warm_ns},\n    \"speedup\": {rq_speedup:.4},\n    \"cache_hits\": {rq_hits},\n    \"cache_misses\": {rq_misses},\n    \"hit_rate\": {rq_hit_rate:.4},\n    \"cache_resident_bytes\": {rq_resident},\n    \"warm_disk_bytes_read\": {rq_disk},\n    \"cold_ns_per_matched_event\": {rq_cold_npe:.1},\n    \"warm_ns_per_matched_event\": {rq_warm_npe:.1},\n    \"sched\": \"{rq_sched}\"\n  }},\n  \"salvage\": {{\n    \"events\": {pd_events},\n    \"strict_read_ns\": {},\n    \"clean_salvage_ns\": {},\n    \"clean_overhead_vs_strict\": {salvage_overhead:.4},\n    \"degraded_read_ns\": {},\n    \"degraded_events_recovered\": {},\n    \"degraded_blocks_recovered\": {},\n    \"blocks_total\": {}\n  }},\n  \"obs\": {{\n    \"lines\": {parse_lines},\n    \"disabled_ns\": {},\n    \"enabled_ns\": {},\n    \"enabled_over_disabled\": {obs_ratio:.4}\n  }},\n  \"serve\": [\n    {}\n  ],\n  \"source_open\": [\n    {}\n  ]\n}}\n",
         seq_dt.as_nanos(),
         reader_dt.as_nanos(),
         sweep_rows.join(",\n      "),
         map_dt.as_nanos() as f64 / n_events as f64,
         unmemo_dt.as_nanos() as f64 / n_events as f64,
-        build4_dt.as_nanos() as f64 / n_events as f64,
         btree_dt.as_nanos() as f64 / n_events as f64,
+        stats_n_rows.join(",\n      "),
+        stats_m_rows.join(",\n      "),
+        conc_rows.join(",\n    "),
+        render_rows.join(",\n      "),
+        summary_dt.as_nanos(),
+        fig3_dt.as_nanos(),
+        fig4_dt.as_nanos(),
+        fig5_dt.as_nanos(),
+        fig8_dt.as_nanos(),
+        fig9_dt.as_nanos(),
         scan_all_dt.as_nanos() as f64 / n_events as f64,
         scan_sel_dt.as_nanos() as f64 / n_events as f64,
         scan_par_dt.as_nanos() as f64 / n_events as f64,
+        group_dt.as_nanos(),
+        view_dfg_dt.as_nanos(),
+        family_dt.as_nanos(),
         store_bytes.len(),
         pd_block_events,
         pd_rows.join(",\n      "),

@@ -9,11 +9,13 @@
 //! * [`experiments::ior_mpiio`] — Sec. V-B (Fig. 9): IOR with vs without
 //!   the MPI-IO interface;
 //! * [`synth`] — synthetic event-log generation for the complexity
-//!   benches (mapping O(n), DFG O(n), stats O(mn), render O(m²)).
+//!   rows of `bench_snapshot` (mapping O(n), DFG O(n), stats O(mn)).
 //!
 //! The `figures` binary (`cargo run -p st-bench --bin figures`)
 //! regenerates every figure: the DOT graphs, the per-node statistics
-//! rows, and the edge-count series the paper reports.
+//! rows, and the edge-count series the paper reports. The
+//! `bench_snapshot` binary is the micro-benchmark harness: it writes
+//! every timing row to `BENCH_ingest.json`.
 
 #![warn(missing_docs)]
 

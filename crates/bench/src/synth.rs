@@ -1,9 +1,10 @@
-//! Synthetic event-log generation for the complexity benches.
+//! Synthetic event-log generation for the complexity rows of
+//! `bench_snapshot`.
 //!
 //! The paper's Sec. V "Implementation" claims: filtering and mapping are
 //! O(n), DFG construction is O(n), statistics are O(mn), rendering is
-//! O(m²) worst case. The benches sweep `n` (events) and `m` (distinct
-//! activities) on logs produced here.
+//! O(m²) worst case. `bench_snapshot` sweeps `n` (events) and `m`
+//! (distinct activities) on logs produced here.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -12,7 +12,8 @@
 //! the classic sweep-line) — because a window's middle intervals need not
 //! overlap each other. Both are provided; the statistics module uses the
 //! paper's windowed definition for fidelity and the exact sweep is
-//! exposed for comparison (the `concurrency` bench quantifies the gap).
+//! exposed for comparison (`bench_snapshot`'s `concurrency` section
+//! times both and records the gap).
 
 use st_model::Micros;
 

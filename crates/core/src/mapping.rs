@@ -49,8 +49,8 @@ impl<'a> MapCtx<'a> {
 
 /// A partial function from events to activity names.
 ///
-/// Implementations must be deterministic and `Sync` (the parallel mapper
-/// shares one instance across worker threads).
+/// Implementations must be deterministic and `Sync` (one instance may
+/// be shared across threads).
 pub trait Mapping: Sync {
     /// Writes the activity name for `event` into `out` and returns
     /// `true`, or returns `false` to leave the event unmapped. `out`

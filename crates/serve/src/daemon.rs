@@ -18,9 +18,8 @@
 //! Each ingest connection streams its POST body line-at-a-time through
 //! [`st_strace::StreamParser`] and folds mapped activities into a
 //! per-stream [`DfgAccumulator`]; `GET /dfg` merges the per-stream
-//! partials by name-aligned vector addition — the same mechanism
-//! `Dfg::par_from_mapped` uses for its worker partials — so the live
-//! graph is a merge, never a rescan. An in-flight partial follows
+//! partials by name-aligned vector addition, so the live graph is a
+//! merge, never a rescan. An in-flight partial follows
 //! strace's completion order; when its stream completes, the partial
 //! is replaced by one folded from the start-sorted case, so once every
 //! stream is done `/dfg` equals the batch DFG over the sealed store.

@@ -25,16 +25,23 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use st_model::{CaseMeta, Event, EventLog, Interner, Micros, Symbol};
+use st_model::{CaseMeta, Event, EventLog, Interner};
 
-use crate::error::{CorruptKind, StoreError};
+use crate::error::StoreError;
 use crate::format::{CaseDir, DEFAULT_BLOCK_EVENTS};
-use crate::varint::put_u64;
-use crate::writer::{write_block, write_section, MAGIC_V2, VERSION_V2};
+use crate::writer::{encode_case, encode_head};
 
 /// Copy-buffer size for splicing the spill file into the final
 /// container — the only allocation `finish()` makes besides the head.
 const SPLICE_BUF: usize = 256 * 1024;
+
+/// Maps an I/O failure on `path` into a [`StoreError::Io`].
+fn io_err(path: &Path) -> impl Fn(std::io::Error) -> StoreError + '_ {
+    move |source| StoreError::Io {
+        path: path.to_path_buf(),
+        source,
+    }
+}
 
 /// Streams an STLOG v2 container to disk with bounded memory.
 ///
@@ -85,17 +92,13 @@ impl StoreBuilder {
         block_events: usize,
     ) -> Result<StoreBuilder, StoreError> {
         assert!(block_events >= 1, "blocks hold at least one event");
-        let io_err = |source: std::io::Error| StoreError::Io {
-            path: path.to_path_buf(),
-            source,
-        };
         let dir = match path.parent() {
             Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
             _ => PathBuf::from("."),
         };
         let name = path
             .file_name()
-            .ok_or_else(|| io_err(std::io::Error::other("path has no file name")))?;
+            .ok_or_else(|| io_err(path)(std::io::Error::other("path has no file name")))?;
         // Same directory as the target (like write_atomic's temp file)
         // and pid-salted, so concurrent builders never share a spill.
         let spill_path = dir.join(format!(
@@ -103,7 +106,7 @@ impl StoreBuilder {
             name.to_string_lossy(),
             std::process::id()
         ));
-        let spill = std::fs::File::create(&spill_path).map_err(io_err)?;
+        let spill = std::fs::File::create(&spill_path).map_err(io_err(&spill_path))?;
         Ok(StoreBuilder {
             path: path.to_path_buf(),
             dir,
@@ -123,39 +126,22 @@ impl StoreBuilder {
     /// block bodies to the spill file. Events must be start-sorted
     /// (they are delta-encoded), as with [`crate::to_bytes`].
     pub fn push_case(&mut self, meta: CaseMeta, events: &[Event]) -> Result<(), StoreError> {
-        if !events.windows(2).all(|w| w[0].start <= w[1].start) {
-            return Err(CorruptKind::UnsortedCase {
-                label: meta.label(&self.interner),
-            }
-            .into());
-        }
-        let io_err = |source: std::io::Error| StoreError::Io {
-            path: self.spill_path.clone(),
-            source,
-        };
-        let mut entry = CaseDir {
-            cid: meta.cid,
-            host: meta.host,
-            rid: meta.rid,
-            events: events.len() as u64,
-            start_min: events.first().map(|e| e.start).unwrap_or(Micros::ZERO),
-            start_max: events.last().map(|e| e.start).unwrap_or(Micros::ZERO),
-            blocks: Vec::with_capacity(events.len().div_ceil(self.block_events)),
-        };
         let spill = self.spill.as_mut().expect("spill open until finish");
-        for chunk in events.chunks(self.block_events) {
-            self.buf.clear();
-            // write_block records the offset relative to the buffer; the
-            // buffer restarts per block, so rebase onto the running
-            // blocks-section offset — the same contiguous layout
-            // to_bytes produces in one pass.
-            let mut block = write_block(&mut self.buf, chunk);
-            block.offset = self.blocks_offset;
-            self.blocks_offset += u64::from(block.len);
-            self.peak_buffer = self.peak_buffer.max(self.buf.len());
-            spill.write_all(&self.buf).map_err(io_err)?;
-            entry.blocks.push(block);
-        }
+        let spill_err = io_err(&self.spill_path);
+        let peak = &mut self.peak_buffer;
+        let entry = encode_case(
+            meta,
+            events,
+            &self.interner,
+            self.block_events,
+            &mut self.buf,
+            self.blocks_offset,
+            |body| {
+                *peak = (*peak).max(body.len());
+                spill.write_all(body).map_err(&spill_err)
+            },
+        )?;
+        self.blocks_offset += entry.blocks.iter().map(|b| u64::from(b.len)).sum::<u64>();
         self.directory.push(entry);
         Ok(())
     }
@@ -180,15 +166,14 @@ impl StoreBuilder {
     /// the spill.
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
         let _span = st_obs::span!("store.stream.checkpoint");
-        let io_err = |source: std::io::Error| StoreError::Io {
-            path: self.spill_path.clone(),
-            source,
-        };
         // Flush the buffered writer and fsync the underlying file
         // without consuming either — the stream continues afterwards.
         let spill = self.spill.as_mut().expect("spill open until finish");
-        spill.flush().map_err(io_err)?;
-        spill.get_ref().sync_all().map_err(io_err)?;
+        spill.flush().map_err(io_err(&self.spill_path))?;
+        spill
+            .get_ref()
+            .sync_all()
+            .map_err(io_err(&self.spill_path))?;
         self.assemble()
     }
 
@@ -198,14 +183,6 @@ impl StoreBuilder {
     /// and both scratch files are removed.
     pub fn finish(mut self) -> Result<(), StoreError> {
         let _span = st_obs::span!("store.stream.finish");
-        st_obs::add("bytes_written", self.blocks_offset);
-        let io_err = |path: &Path| {
-            let path = path.to_path_buf();
-            move |source: std::io::Error| StoreError::Io {
-                path: path.clone(),
-                source,
-            }
-        };
         // Flush the spill and reopen it for reading.
         let spill = self.spill.take().expect("finish runs once");
         spill
@@ -228,13 +205,6 @@ impl StoreBuilder {
     /// spill to be flushed to disk by the caller. On error the temp
     /// file is removed and the target (and spill) are untouched.
     fn assemble(&self) -> Result<(), StoreError> {
-        let io_err = |path: &Path| {
-            let path = path.to_path_buf();
-            move |source: std::io::Error| StoreError::Io {
-                path: path.clone(),
-                source,
-            }
-        };
         let name = self
             .path
             .file_name()
@@ -245,25 +215,11 @@ impl StoreBuilder {
             .dir
             .join(format!(".{}.tmp.{}", name, std::process::id()));
         let result = (|| {
-            let snap = self.interner.snapshot();
-            let mut head = Vec::with_capacity(64 + snap.len() * 24 + self.directory.len() * 96);
-            head.extend_from_slice(MAGIC_V2);
-            head.extend_from_slice(&VERSION_V2.to_le_bytes());
-            write_section(&mut head, |body| {
-                put_u64(body, snap.len() as u64);
-                for idx in 0..snap.len() {
-                    let s = snap.resolve(Symbol(idx as u32));
-                    put_u64(body, s.len() as u64);
-                    body.extend_from_slice(s.as_bytes());
-                }
-            });
-            write_section(&mut head, |body| {
-                put_u64(body, self.directory.len() as u64);
-                for entry in &self.directory {
-                    entry.encode(body);
-                }
-            });
-            head.extend_from_slice(&self.blocks_offset.to_le_bytes());
+            let head = encode_head(
+                &self.interner.snapshot(),
+                &self.directory,
+                self.blocks_offset,
+            );
 
             let mut out = std::fs::File::create(&tmp).map_err(io_err(&tmp))?;
             out.write_all(&head).map_err(io_err(&tmp))?;
@@ -286,6 +242,7 @@ impl StoreBuilder {
                     self.blocks_offset
                 ))));
             }
+            st_obs::add("bytes_written", head.len() as u64 + copied);
             out.sync_all().map_err(io_err(&tmp))?;
             drop(out);
             std::fs::rename(&tmp, &self.path).map_err(io_err(&self.path))
@@ -324,6 +281,7 @@ impl Drop for StoreBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CorruptKind;
     use crate::reader::read_store;
     use crate::writer::tests::sample_log;
     use crate::writer::to_bytes_blocked;
@@ -502,6 +460,56 @@ mod tests {
         let recovered = read_store(&path).unwrap();
         assert_eq!(recovered.case_count(), 1);
         drop(b);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The `bytes_written` counter recorded while `f` runs, read from
+    /// the subtree of a span only this test opens: other tests in the
+    /// binary write concurrently.
+    fn bytes_written_by(f: impl FnOnce()) -> u64 {
+        fn subtree(node: &st_obs::StageNode) -> u64 {
+            node.counters.get("bytes_written").copied().unwrap_or(0)
+                + node.children.iter().map(subtree).sum::<u64>()
+        }
+        st_obs::set_enabled(true);
+        let mark = st_obs::mark();
+        {
+            let _span = st_obs::span!("test.bytes_written");
+            f();
+        }
+        st_obs::report_since(&mark)
+            .stages
+            .iter()
+            .filter(|s| s.name == "test.bytes_written")
+            .map(subtree)
+            .sum()
+    }
+
+    #[test]
+    fn bytes_written_counts_every_published_byte() {
+        let log = sample_log();
+        let dir = tempdir("bytes-written");
+        let path = dir.join("out.stlog");
+        let size = |p: &Path| std::fs::metadata(p).unwrap().len();
+
+        let written = bytes_written_by(|| crate::write_store(&log, &path).unwrap());
+        assert_eq!(written, size(&path), "write_store");
+
+        let mut published = 0;
+        let written = bytes_written_by(|| {
+            let mut b = StoreBuilder::create_blocked(&path, Arc::clone(log.interner()), 2).unwrap();
+            b.push_case(log.cases()[0].meta, &log.cases()[0].events)
+                .unwrap();
+            b.checkpoint().unwrap();
+            published += size(&path);
+            b.push_case(log.cases()[0].meta, &log.cases()[0].events)
+                .unwrap();
+            b.checkpoint().unwrap();
+            published += size(&path);
+            b.finish().unwrap();
+            published += size(&path);
+        });
+        assert_eq!(written, published, "checkpoints plus finish");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -10,7 +10,7 @@
 use std::path::Path;
 
 use bytes::Bytes;
-use st_model::{Event, EventLog, Micros, Symbol, Syscall};
+use st_model::{CaseMeta, Event, EventLog, Interner, InternerSnapshot, Micros, Symbol, Syscall};
 
 use crate::crc::crc32;
 use crate::error::{CorruptKind, StoreError};
@@ -50,31 +50,92 @@ pub fn to_bytes(log: &EventLog) -> Result<Bytes, StoreError> {
 pub fn to_bytes_blocked(log: &EventLog, block_events: usize) -> Result<Bytes, StoreError> {
     let _span = st_obs::span!("store.encode");
     assert!(block_events >= 1, "blocks hold at least one event");
-    check_sorted(log)?;
+    let mut blocks = Vec::with_capacity(log.total_events() * EST_BYTES_PER_EVENT);
+    let mut buf = Vec::new();
+    let mut directory = Vec::with_capacity(log.case_count());
+    for case in log.cases() {
+        directory.push(encode_case(
+            case.meta,
+            &case.events,
+            log.interner(),
+            block_events,
+            &mut buf,
+            blocks.len() as u64,
+            |body| {
+                blocks.extend_from_slice(body);
+                Ok(())
+            },
+        )?);
+    }
+    let mut out = encode_head(&log.snapshot(), &directory, blocks.len() as u64);
+    out.extend_from_slice(&blocks);
+    Ok(Bytes::from(out))
+}
 
-    let snap = log.snapshot();
-    let strings_est: usize = (0..snap.len())
+/// Encodes one case into blocks of `block_events` events: rejects an
+/// unsorted case (events are delta-encoded), then writes each block
+/// body into `buf` (cleared per block) and hands it to `emit`. Block
+/// offsets run on from `offset`, the blocks-section length so far, so
+/// consecutive cases lay out contiguously. Returns the case's
+/// directory entry. Shared by [`to_bytes_blocked`] and
+/// [`crate::StoreBuilder::push_case`], so both writers emit the same
+/// bytes.
+pub(crate) fn encode_case(
+    meta: CaseMeta,
+    events: &[Event],
+    interner: &Interner,
+    block_events: usize,
+    buf: &mut Vec<u8>,
+    mut offset: u64,
+    mut emit: impl FnMut(&[u8]) -> Result<(), StoreError>,
+) -> Result<CaseDir, StoreError> {
+    if !events.windows(2).all(|w| w[0].start <= w[1].start) {
+        return Err(CorruptKind::UnsortedCase {
+            label: meta.label(interner),
+        }
+        .into());
+    }
+    let mut entry = CaseDir {
+        cid: meta.cid,
+        host: meta.host,
+        rid: meta.rid,
+        events: events.len() as u64,
+        start_min: events.first().map(|e| e.start).unwrap_or(Micros::ZERO),
+        start_max: events.last().map(|e| e.start).unwrap_or(Micros::ZERO),
+        blocks: Vec::with_capacity(events.len().div_ceil(block_events)),
+    };
+    for chunk in events.chunks(block_events) {
+        buf.clear();
+        // write_block records the offset relative to the buffer; the
+        // buffer restarts per block, so rebase onto the running offset.
+        let mut block = write_block(buf, chunk);
+        block.offset = offset;
+        offset += u64::from(block.len);
+        emit(buf)?;
+        entry.blocks.push(block);
+    }
+    Ok(entry)
+}
+
+/// Encodes everything a v2 container holds before its block bodies:
+/// magic and version, the strings section (the interner snapshot in
+/// insertion order, so symbol ids are reproduced exactly on read), the
+/// directory section, and the blocks section's fixed length prefix.
+/// The blocks section carries per-block CRCs (part of each body)
+/// instead of one section-wide checksum, so a pruning reader can
+/// verify exactly the blocks it touches.
+pub(crate) fn encode_head(
+    snap: &InternerSnapshot,
+    directory: &[CaseDir],
+    blocks_len: u64,
+) -> Vec<u8> {
+    let strings: usize = (0..snap.len())
         .map(|idx| snap.resolve(Symbol(idx as u32)).len() + 5)
         .sum();
-    let n_events = log.total_events();
-    let n_blocks = log
-        .cases()
-        .iter()
-        .map(|c| c.events.len().div_ceil(block_events))
-        .sum::<usize>();
-
-    // One pre-sized buffer for the header + strings + directory, one for
-    // the block bodies (the directory precedes the bodies but depends on
-    // their offsets, so the bodies stream into their own buffer and are
-    // appended once at the end — no per-case or per-column allocations).
-    let mut out = Vec::with_capacity(64 + strings_est + log.case_count() * 32 + n_blocks * 96);
-    let mut blocks = Vec::with_capacity(n_events * EST_BYTES_PER_EVENT + n_blocks * 4);
-
+    let blocks: usize = directory.iter().map(|c| c.blocks.len()).sum();
+    let mut out = Vec::with_capacity(64 + strings + directory.len() * 32 + blocks * 96);
     out.extend_from_slice(MAGIC_V2);
     out.extend_from_slice(&VERSION_V2.to_le_bytes());
-
-    // Strings section: the interner snapshot in insertion order, so
-    // symbol ids are reproduced exactly on read.
     write_section(&mut out, |body| {
         put_u64(body, snap.len() as u64);
         for idx in 0..snap.len() {
@@ -83,45 +144,19 @@ pub fn to_bytes_blocked(log: &EventLog, block_events: usize) -> Result<Bytes, St
             body.extend_from_slice(s.as_bytes());
         }
     });
-
-    // Block bodies + the directory entries describing them.
-    let mut directory: Vec<CaseDir> = Vec::with_capacity(log.case_count());
-    for case in log.cases() {
-        let mut entry = CaseDir {
-            cid: case.meta.cid,
-            host: case.meta.host,
-            rid: case.meta.rid,
-            events: case.events.len() as u64,
-            start_min: case.events.first().map(|e| e.start).unwrap_or(Micros::ZERO),
-            start_max: case.events.last().map(|e| e.start).unwrap_or(Micros::ZERO),
-            blocks: Vec::with_capacity(case.events.len().div_ceil(block_events)),
-        };
-        for chunk in case.events.chunks(block_events) {
-            entry.blocks.push(write_block(&mut blocks, chunk));
-        }
-        directory.push(entry);
-    }
-
-    // Directory section.
     write_section(&mut out, |body| {
         put_u64(body, directory.len() as u64);
-        for entry in &directory {
+        for entry in directory {
             entry.encode(body);
         }
     });
-
-    // Blocks section: fixed length prefix, per-block CRCs (already part
-    // of each body) instead of one section-wide checksum, so a pruning
-    // reader can verify exactly the blocks it touches.
-    out.extend_from_slice(&(blocks.len() as u64).to_le_bytes());
-    out.extend_from_slice(&blocks);
-
-    Ok(Bytes::from(out))
+    out.extend_from_slice(&blocks_len.to_le_bytes());
+    out
 }
 
 /// Writes one block body (nine column segments + CRC-32) into `out` and
 /// returns its directory entry.
-pub(crate) fn write_block(out: &mut Vec<u8>, chunk: &[Event]) -> BlockDir {
+fn write_block(out: &mut Vec<u8>, chunk: &[Event]) -> BlockDir {
     let body_start = out.len();
     let mut col_lens = [0u32; NCOLS];
     let mut col_start = out.len();
@@ -198,7 +233,7 @@ pub(crate) fn write_block(out: &mut Vec<u8>, chunk: &[Event]) -> BlockDir {
 /// Appends a v2 section: fixed 8-byte LE length prefix, body, CRC-32.
 /// The fixed prefix lets the body stream straight into `out` (the
 /// length is patched afterwards) — no intermediate section buffer.
-pub(crate) fn write_section(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+fn write_section(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     let len_pos = out.len();
     out.extend_from_slice(&[0u8; 8]);
     let body_start = out.len();

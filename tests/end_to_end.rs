@@ -114,7 +114,7 @@ fn full_pipeline_runs_on_ior_and_renders() {
 }
 
 #[test]
-fn parallel_loader_and_mapper_match_sequential_end_to_end() {
+fn parallel_loader_matches_sequential_end_to_end() {
     let original = simulate_ls_pair();
     let dir = std::env::temp_dir().join(format!("st-e2e-par-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -142,10 +142,10 @@ fn parallel_loader_and_mapper_match_sequential_end_to_end() {
 
     let mapping = CallTopDirs::new(2);
     let m_seq = MappedLog::new(&seq.log, &mapping);
-    let m_par = MappedLog::par_new(&par.log, &mapping, 4);
+    let m_par = MappedLog::new(&par.log, &mapping);
     assert_eq!(
         dfg_edges_by_name(&Dfg::from_mapped(&m_seq)),
-        dfg_edges_by_name(&Dfg::par_from_mapped(&m_par, 4))
+        dfg_edges_by_name(&Dfg::from_mapped(&m_par))
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -23,28 +23,6 @@ proptest! {
         prop_assert_eq!(dfg.case_count(), contributing);
     }
 
-    /// The parallel builder produces exactly the sequential graph.
-    #[test]
-    fn parallel_equals_sequential(specs in log_strategy(10, 30), threads in 2usize..6) {
-        let log = build_log(&specs);
-        let mapped = MappedLog::new(&log, &CallTopDirs::new(2));
-        let seq = Dfg::from_mapped(&mapped);
-        let par = Dfg::par_from_mapped(&mapped, threads);
-        prop_assert_eq!(dfg_edges_by_name(&seq), dfg_edges_by_name(&par));
-        prop_assert_eq!(seq.case_count(), par.case_count());
-    }
-
-    /// The parallel mapper matches the sequential mapper id-for-id.
-    #[test]
-    fn parallel_mapping_equals_sequential(specs in log_strategy(10, 30), threads in 2usize..6) {
-        let log = build_log(&specs);
-        let mapping = CallTopDirs::new(2);
-        let seq = MappedLog::new(&log, &mapping);
-        let par = MappedLog::par_new(&log, &mapping, threads);
-        prop_assert_eq!(seq.activity_count(), par.activity_count());
-        prop_assert_eq!(seq.assignments(), par.assignments());
-    }
-
     /// Union additivity: G[L(Ca ∪ Cb)] edge counts are the sums of the
     /// partition DFGs' counts (the property partition coloring relies
     /// on).

@@ -508,10 +508,11 @@ fn cmd_parse(tokens: &[String], policy: Policy) -> Result<(), String> {
     let mut out: Option<PathBuf> = None;
     let mut opts = st_strace::LoadOptions::default();
     let mut explicit_threads = false;
+    let mut sequential = false;
     while let Some(tok) = args.next() {
         match tok {
             "-o" => out = Some(PathBuf::from(args.value("-o")?)),
-            "--sequential" => opts.parallel = false,
+            "--sequential" => sequential = true,
             "--strict-names" => opts.strict_names = true,
             "--streaming" => opts.streaming = true,
             "--threads" => {
@@ -531,7 +532,7 @@ fn cmd_parse(tokens: &[String], policy: Policy) -> Result<(), String> {
     // never spend a `--threads` surplus *inside* a file the way the
     // default in-memory path does (for a single huge trace — streaming's
     // main use case — an explicit budget would be silently reduced to 1).
-    if explicit_threads && !opts.parallel {
+    if explicit_threads && sequential {
         return Err(
             "parse: --sequential and --threads conflict (sequential parsing uses one worker); \
              drop one of the flags"
@@ -546,6 +547,9 @@ fn cmd_parse(tokens: &[String], policy: Policy) -> Result<(), String> {
              min(files, cores)) or drop --streaming"
                 .to_string(),
         );
+    }
+    if sequential {
+        opts.threads = 1;
     }
     let input = input.ok_or("parse: missing <input>")?;
     let out = out.ok_or("parse: missing -o <log.stlog>")?;

@@ -7,14 +7,17 @@
 //! edge weights count how often the relation was observed (the numbers on
 //! the edges of Fig. 3).
 //!
-//! Construction is a single O(n) pass over the mapped log. Counts
-//! accumulate in *dense* `Vec`-indexed storage: activities map to their
-//! dense [`ActivityId`] index and the start/end markers to two reserved
-//! trailing indices, so the per-event hot path is two array adds instead
-//! of ordered-map lookups. (Graphs too large for an adjacency matrix
-//! fall back to a hash map — still O(1) amortized per increment.) The
-//! deterministically ordered edge view that rendering and tests consume
-//! is materialized lazily, on first access.
+//! Every graph is counted by one accumulator, [`DfgAccumulator`]: the
+//! batch constructors fold the mapped log through it in a single O(n)
+//! pass, and the live daemon feeds it one activity at a time. Counts
+//! live in *dense* `Vec`-indexed storage — the start/end markers at
+//! node indices 0 and 1, activity `id` at `id + 2` — so the per-event
+//! hot path is two array adds instead of ordered-map lookups, and
+//! accumulators over one activity table merge by element-wise addition.
+//! (Graphs too large for an adjacency matrix fall back to a hash map —
+//! still O(1) amortized per increment.) The deterministically ordered
+//! edge view that rendering and tests consume is materialized lazily,
+//! on first access.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::OnceLock;
@@ -110,56 +113,185 @@ impl EdgeCounts {
     }
 }
 
-/// The dense count accumulator: node indices `0..m` are activities (by
-/// [`ActivityId`]), `m` is the start marker, `m + 1` the end marker.
+/// Node index of the start marker `●` in [`DfgAccumulator`]'s layout.
+const START: usize = 0;
+/// Node index of the end marker `■`; activity `id` sits at `id + 2`.
+const END: usize = 1;
+
+/// The node at a dense node index.
+fn idx_node(idx: usize) -> Node {
+    match idx {
+        START => Node::Start,
+        END => Node::End,
+        _ => Node::Act(ActivityId((idx - 2) as u32)),
+    }
+}
+
+/// The DFG count accumulator: per-node occurrence counts, edge counts
+/// over dense node indices, the case count and the open trace's last
+/// activity.
+///
+/// Every DFG is folded through it: the batch constructors
+/// ([`Dfg::from_mapped`] and friends) size it from their activity
+/// table once and add whole traces; a live service feeds it one
+/// [`ActivityId`] at a time, between which the graph stays queryable.
+/// Node indices are `0` for the start marker, `1` for the end marker
+/// and `id + 2` for activity `id`, so the accumulator grows in place
+/// when it first sees a larger id. Accumulators whose ids come from one
+/// [`ActivityTable`] merge by element-wise addition.
+///
+/// ```
+/// use st_core::{ActivityTable, Dfg, DfgAccumulator};
+///
+/// // One id space, shared by two streams observed independently:
+/// let mut table = ActivityTable::new();
+/// let (read, write) = (table.intern("read:/etc"), table.intern("write:/tmp"));
+/// let mut a = DfgAccumulator::default();
+/// a.observe(read);
+/// a.observe(read);
+/// a.close_trace();
+/// let mut b = DfgAccumulator::default();
+/// b.observe(read);
+/// b.observe(write);
+/// b.close_trace();
+///
+/// // Merging is a vector addition, never a rescan:
+/// a.merge(&b);
+/// let dfg: Dfg = a.to_dfg(&table);
+/// assert_eq!(dfg.case_count(), 2);
+/// assert_eq!(dfg.edge_count_named("●", "read:/etc"), 2);
+/// assert_eq!(dfg.edge_count_named("read:/etc", "read:/etc"), 1);
+/// assert_eq!(dfg.edge_count_named("read:/etc", "write:/tmp"), 1);
+/// dfg.check_invariants().unwrap();
+/// ```
+///
+/// One accumulator tracks *one* open trace at a time (`observe` extends
+/// it, `close_trace` seals it). Until it is closed, [`Self::to_dfg`]
+/// shows its edges so far but no end marker, so the graph satisfies
+/// [`Dfg::check_invariants`] only with every trace closed.
 #[derive(Debug, Clone)]
-struct DenseAcc {
-    /// Total node slots `m + 2`.
+pub struct DfgAccumulator {
+    /// Node slots: the two markers plus the activity slots.
     n: usize,
-    /// Per-node occurrence counts.
+    /// Per-node occurrence counts (events for activities, traces for
+    /// the markers).
     occ: Vec<u64>,
     edges: EdgeCounts,
     case_count: u64,
+    /// Node index of the open trace's last activity (`None` between
+    /// traces).
+    prev: Option<usize>,
 }
 
-impl DenseAcc {
-    fn new(activities: usize) -> DenseAcc {
+impl Default for DfgAccumulator {
+    fn default() -> DfgAccumulator {
+        DfgAccumulator::with_activities(0)
+    }
+}
+
+impl DfgAccumulator {
+    /// An empty accumulator with room for activity ids `0..activities`
+    /// (it still grows past them on demand).
+    pub(crate) fn with_activities(activities: usize) -> DfgAccumulator {
         let n = activities + 2;
-        DenseAcc {
+        DfgAccumulator {
             n,
             occ: vec![0; n],
             edges: EdgeCounts::new(n),
             case_count: 0,
+            prev: None,
         }
     }
 
+    /// Re-lays the counts out over at least `n` node slots (doubling, so
+    /// one-id-at-a-time growth stays amortized O(1) per id).
+    #[cold]
+    fn grow(&mut self, n: usize) {
+        let n = n.max(2 * self.n);
+        let old = std::mem::replace(&mut self.edges, EdgeCounts::new(n));
+        for (from, to, c) in old.iter_nonzero(self.n) {
+            self.edges.inc(n, from, to, c);
+        }
+        self.occ.resize(n, 0);
+        self.n = n;
+    }
+
+    /// Counts `w` occurrences of `id` entered from node `from`; returns
+    /// `id`'s node index.
     #[inline]
-    fn start_idx(&self) -> usize {
-        self.n - 2
+    fn step(&mut self, from: usize, id: ActivityId, w: u64) -> usize {
+        let to = id.index() + 2;
+        if to >= self.n {
+            self.grow(to + 1);
+        }
+        self.occ[to] += w;
+        self.edges.inc(self.n, from, to, w);
+        to
     }
 
-    #[inline]
-    fn end_idx(&self) -> usize {
-        self.n - 1
+    /// Counts `w` traces ending at node `last`.
+    fn seal(&mut self, last: usize, w: u64) {
+        self.edges.inc(self.n, last, END, w);
+        self.case_count += w;
+        self.occ[START] += w;
+        self.occ[END] += w;
     }
 
-    /// Adds one trace `⟨a_1, …, a_n⟩` with multiplicity `w` (implicitly
-    /// wrapped with start/end markers). Empty traces contribute nothing.
-    fn add_trace_weighted(&mut self, activities: impl IntoIterator<Item = ActivityId>, w: u64) {
-        let mut prev: Option<usize> = None;
-        for act in activities {
-            let idx = act.index();
-            self.occ[idx] += w;
-            let from = prev.unwrap_or(self.n - 2);
-            self.edges.inc(self.n, from, idx, w);
-            prev = Some(idx);
+    /// Appends one activity to the open trace (opening one if needed):
+    /// counts the edge from the previous activity, or from the start
+    /// marker.
+    pub fn observe(&mut self, id: ActivityId) {
+        self.prev = Some(self.step(self.prev.unwrap_or(START), id, 1));
+    }
+
+    /// Seals the open trace: edge to the end marker, case counted.
+    /// A no-op when no activity was observed since the last close
+    /// (empty traces contribute nothing).
+    pub fn close_trace(&mut self) {
+        if let Some(last) = self.prev.take() {
+            self.seal(last, 1);
         }
-        if let Some(last) = prev {
-            self.edges.inc(self.n, last, self.n - 1, w);
-            self.case_count += w;
-            self.occ[self.n - 2] += w;
-            self.occ[self.n - 1] += w;
+    }
+
+    /// Adds one whole trace `⟨a_1, …, a_n⟩` with multiplicity `w`,
+    /// wrapped with the start/end markers; the open trace, if any, is
+    /// left as it was. Empty traces contribute nothing.
+    pub fn add_trace(&mut self, trace: impl IntoIterator<Item = ActivityId>, w: u64) {
+        let last = trace
+            .into_iter()
+            .fold(START, |from, id| self.step(from, id, w));
+        if last != START {
+            self.seal(last, w);
         }
+    }
+
+    /// Sealed traces so far.
+    pub fn case_count(&self) -> u64 {
+        self.case_count
+    }
+
+    /// Adds `other`'s counts into `self`, element by element; both must
+    /// number activities from the same [`ActivityTable`]. `other`'s
+    /// open-trace position is per-stream state and is not carried over;
+    /// its counted events and edges are.
+    pub fn merge(&mut self, other: &DfgAccumulator) {
+        if other.n > self.n {
+            self.grow(other.n);
+        }
+        for (mine, theirs) in self.occ.iter_mut().zip(&other.occ) {
+            *mine += theirs;
+        }
+        for (from, to, c) in other.edges.iter_nonzero(other.n) {
+            self.edges.inc(self.n, from, to, c);
+        }
+        self.case_count += other.case_count;
+    }
+
+    /// Materializes the counts as a [`Dfg`] named by `table`, which must
+    /// hold every observed id (a copy — the accumulator keeps growing
+    /// independently afterwards).
+    pub fn to_dfg(&self, table: &ActivityTable) -> Dfg {
+        Dfg::from_acc(table.clone(), self.clone())
     }
 }
 
@@ -169,7 +301,7 @@ pub struct Dfg {
     /// Activity names (owned copy — DFGs outlive their `MappedLog`).
     table: ActivityTable,
     /// Dense counts; the ordered edge view below derives from it.
-    acc: DenseAcc,
+    acc: DfgAccumulator,
     /// Deterministically ordered edges, materialized on first access.
     ordered: OnceLock<BTreeMap<(Node, Node), u64>>,
 }
@@ -185,7 +317,7 @@ impl Clone for Dfg {
 }
 
 impl Dfg {
-    fn from_acc(table: ActivityTable, acc: DenseAcc) -> Dfg {
+    fn from_acc(table: ActivityTable, acc: DfgAccumulator) -> Dfg {
         Dfg {
             table,
             acc,
@@ -219,9 +351,9 @@ impl Dfg {
     /// ```
     pub fn from_mapped(mapped: &MappedLog<'_>) -> Dfg {
         let _span = st_obs::span!("dfg.build");
-        let mut acc = DenseAcc::new(mapped.table().len());
-        for case_idx in 0..mapped.log().case_count() {
-            acc.add_trace_weighted(mapped.assignments()[case_idx].iter().filter_map(|a| *a), 1);
+        let mut acc = DfgAccumulator::with_activities(mapped.table().len());
+        for row in mapped.assignments() {
+            acc.add_trace(row.iter().filter_map(|a| *a), 1);
         }
         Dfg::from_acc(mapped.table().clone(), acc)
     }
@@ -247,10 +379,10 @@ impl Dfg {
             std::ptr::eq(mapped.log(), view.log()),
             "view must slice the same EventLog this MappedLog was built from"
         );
-        let mut acc = DenseAcc::new(mapped.table().len());
+        let mut acc = DfgAccumulator::with_activities(mapped.table().len());
         for s in view.slices() {
             let row = &mapped.assignments()[s.case_idx];
-            acc.add_trace_weighted(s.events.iter().filter_map(|&k| row[k as usize]), 1);
+            acc.add_trace(s.events.iter().filter_map(|&k| row[k as usize]), 1);
         }
         Dfg::from_acc(mapped.table().clone(), acc)
     }
@@ -259,36 +391,20 @@ impl Dfg {
     /// multiset is already materialized; weights multiply by trace
     /// multiplicity).
     pub fn from_activity_log(alog: &ActivityLog, table: &ActivityTable) -> Dfg {
-        let mut acc = DenseAcc::new(table.len());
+        let mut acc = DfgAccumulator::with_activities(table.len());
         for entry in alog.entries() {
-            acc.add_trace_weighted(entry.activities.iter().copied(), entry.multiplicity as u64);
+            acc.add_trace(entry.activities.iter().copied(), entry.multiplicity as u64);
         }
         Dfg::from_acc(table.clone(), acc)
-    }
-
-    /// Number of activity slots (the dense id space, not the occurring
-    /// node count).
-    fn activity_slots(&self) -> usize {
-        self.acc.n - 2
     }
 
     /// Dense index of a node; `None` for activity ids outside this
     /// graph's id space (they must not alias the start/end slots).
     fn node_idx(&self, node: Node) -> Option<usize> {
         match node {
-            Node::Start => Some(self.acc.start_idx()),
-            Node::End => Some(self.acc.end_idx()),
-            Node::Act(id) => (id.index() < self.activity_slots()).then(|| id.index()),
-        }
-    }
-
-    fn idx_node(&self, idx: usize) -> Node {
-        if idx == self.acc.start_idx() {
-            Node::Start
-        } else if idx == self.acc.end_idx() {
-            Node::End
-        } else {
-            Node::Act(ActivityId(idx as u32))
+            Node::Start => Some(START),
+            Node::End => Some(END),
+            Node::Act(id) => Some(id.index() + 2).filter(|&idx| idx < self.acc.n),
         }
     }
 
@@ -298,7 +414,7 @@ impl Dfg {
             self.acc
                 .edges
                 .iter_nonzero(self.acc.n)
-                .map(|(from, to, c)| ((self.idx_node(from), self.idx_node(to)), c))
+                .map(|(from, to, c)| ((idx_node(from), idx_node(to)), c))
                 .collect()
         })
     }
@@ -310,10 +426,7 @@ impl Dfg {
 
     /// Number of activity nodes (excludes start/end).
     pub fn activity_node_count(&self) -> usize {
-        self.acc.occ[..self.activity_slots()]
-            .iter()
-            .filter(|&&c| c > 0)
-            .count()
+        self.acc.occ[2..].iter().filter(|&&c| c > 0).count()
     }
 
     /// Number of traces (cases) that contributed.
@@ -328,13 +441,12 @@ impl Dfg {
 
     /// All nodes that occur, in deterministic order.
     pub fn nodes(&self) -> impl Iterator<Item = Node> + '_ {
-        let m = self.activity_slots();
-        let start = (self.acc.occ[self.acc.start_idx()] > 0).then_some(Node::Start);
-        let end = (self.acc.occ[self.acc.end_idx()] > 0).then_some(Node::End);
+        let start = (self.acc.occ[START] > 0).then_some(Node::Start);
+        let end = (self.acc.occ[END] > 0).then_some(Node::End);
         start
             .into_iter()
             .chain(
-                self.acc.occ[..m]
+                self.acc.occ[2..]
                     .iter()
                     .enumerate()
                     .filter(|(_, &c)| c > 0)
@@ -363,7 +475,7 @@ impl Dfg {
     pub fn has_activity(&self, name: &str) -> bool {
         self.table
             .get(name)
-            .is_some_and(|id| self.acc.occ.get(id.index()).copied().unwrap_or(0) > 0)
+            .is_some_and(|id| self.occurrences(Node::Act(id)) > 0)
     }
 
     /// Edge count between two *named* endpoints; start/end are named
@@ -432,11 +544,12 @@ impl Dfg {
             .collect();
         Dfg::from_acc(
             self.table.clone(),
-            DenseAcc {
+            DfgAccumulator {
                 n,
                 occ,
                 edges,
                 case_count: self.acc.case_count,
+                prev: None,
             },
         )
     }
@@ -457,7 +570,7 @@ impl Dfg {
             if occ == 0 {
                 continue;
             }
-            match self.idx_node(idx) {
+            match idx_node(idx) {
                 node @ Node::Act(_) => {
                     let (i, o) = (in_flow[idx], out_flow[idx]);
                     if i != occ || o != occ {
@@ -488,168 +601,6 @@ impl Dfg {
             }
         }
         Ok(())
-    }
-}
-
-/// Sentinel edge index for the start marker in [`DfgAccumulator`]'s
-/// sparse storage (activity ids stay well below it).
-const ACC_START: u32 = u32::MAX;
-/// Sentinel edge index for the end marker.
-const ACC_END: u32 = u32::MAX - 1;
-
-/// Incremental DFG accumulator for live ingest.
-///
-/// The batch constructors ([`Dfg::from_mapped`] and friends) need the
-/// whole activity space up front — the dense storage is sized to the
-/// mapped log's table. A live service doesn't have that luxury:
-/// activities appear one event at a time, across many concurrent
-/// streams, and the graph must be queryable *between* events. This
-/// accumulator grows its activity table on first appearance, counts
-/// edges sparsely, and merges with other accumulators by name-aligned
-/// vector addition: the two partials' id spaces grew independently, so
-/// ids are remapped by activity name before the counts add.
-///
-/// ```
-/// use st_core::{Dfg, DfgAccumulator};
-///
-/// // Two streams observed independently (e.g. two connections):
-/// let mut a = DfgAccumulator::new();
-/// a.observe("read:/etc");
-/// a.observe("read:/etc");
-/// a.close_trace();
-/// let mut b = DfgAccumulator::new();
-/// b.observe("read:/etc");
-/// b.observe("write:/tmp");
-/// b.close_trace();
-///
-/// // Merging is a name-aligned vector addition, never a rescan:
-/// a.merge(&b);
-/// let dfg: Dfg = a.to_dfg();
-/// assert_eq!(dfg.case_count(), 2);
-/// assert_eq!(dfg.edge_count_named("●", "read:/etc"), 2);
-/// assert_eq!(dfg.edge_count_named("read:/etc", "read:/etc"), 1);
-/// assert_eq!(dfg.edge_count_named("read:/etc", "write:/tmp"), 1);
-/// dfg.check_invariants().unwrap();
-/// ```
-///
-/// One accumulator tracks *one* open trace at a time (`observe` extends
-/// it, `close_trace` seals it); a multi-stream service keeps one
-/// accumulator per stream and merges on demand. After every open trace
-/// is closed, [`DfgAccumulator::to_dfg`] satisfies
-/// [`Dfg::check_invariants`] and equals the batch-built graph over the
-/// same traces; with a trace still open it is the honest partial view
-/// (the open trace's edges so far, no end marker yet).
-#[derive(Debug, Clone, Default)]
-pub struct DfgAccumulator {
-    table: ActivityTable,
-    /// Per-activity occurrence counts, indexed by [`ActivityId`].
-    occ: Vec<u64>,
-    /// Sparse `(from, to) → count` over activity ids plus the
-    /// [`ACC_START`]/[`ACC_END`] sentinels.
-    edges: HashMap<(u32, u32), u64>,
-    start_occ: u64,
-    end_occ: u64,
-    case_count: u64,
-    /// Last activity of the open trace (`None` between traces).
-    prev: Option<ActivityId>,
-}
-
-impl DfgAccumulator {
-    /// An empty accumulator (no activities, no open trace).
-    pub fn new() -> DfgAccumulator {
-        DfgAccumulator::default()
-    }
-
-    /// Appends one activity to the open trace (opening one if needed):
-    /// interns the name on first appearance and counts the edge from
-    /// the previous activity (or the start marker).
-    pub fn observe(&mut self, activity: &str) {
-        let id = self.table.intern(activity);
-        if id.index() >= self.occ.len() {
-            self.occ.resize(id.index() + 1, 0);
-        }
-        self.occ[id.index()] += 1;
-        let from = self.prev.map(|p| p.0).unwrap_or(ACC_START);
-        *self.edges.entry((from, id.0)).or_insert(0) += 1;
-        self.prev = Some(id);
-    }
-
-    /// Seals the open trace: edge to the end marker, case counted.
-    /// A no-op when no activity was observed since the last close
-    /// (empty traces contribute nothing, as in the batch builders).
-    pub fn close_trace(&mut self) {
-        if let Some(last) = self.prev.take() {
-            *self.edges.entry((last.0, ACC_END)).or_insert(0) += 1;
-            self.case_count += 1;
-            self.start_occ += 1;
-            self.end_occ += 1;
-        }
-    }
-
-    /// Whether a trace is currently open.
-    pub fn trace_open(&self) -> bool {
-        self.prev.is_some()
-    }
-
-    /// Sealed traces so far.
-    pub fn case_count(&self) -> u64 {
-        self.case_count
-    }
-
-    /// Events observed so far (over all traces).
-    pub fn events_observed(&self) -> u64 {
-        self.occ.iter().sum()
-    }
-
-    /// Adds `other`'s counts into `self`, aligning activities by name
-    /// (ids are remapped — the two accumulators may have discovered
-    /// activities in any order). `other`'s open-trace position is
-    /// transient per-stream state and is not carried over; its counted
-    /// events and edges are.
-    pub fn merge(&mut self, other: &DfgAccumulator) {
-        let remap: Vec<u32> = (0..other.table.len())
-            .map(|idx| {
-                self.table
-                    .intern(other.table.name(ActivityId(idx as u32)))
-                    .0
-            })
-            .collect();
-        if self.occ.len() < self.table.len() {
-            self.occ.resize(self.table.len(), 0);
-        }
-        for (idx, &c) in other.occ.iter().enumerate() {
-            self.occ[remap[idx] as usize] += c;
-        }
-        let map = |id: u32| match id {
-            ACC_START | ACC_END => id,
-            _ => remap[id as usize],
-        };
-        for (&(from, to), &c) in &other.edges {
-            *self.edges.entry((map(from), map(to))).or_insert(0) += c;
-        }
-        self.start_occ += other.start_occ;
-        self.end_occ += other.end_occ;
-        self.case_count += other.case_count;
-    }
-
-    /// Materializes the accumulated counts as a [`Dfg`] (a copy — the
-    /// accumulator keeps growing independently afterwards).
-    pub fn to_dfg(&self) -> Dfg {
-        let mut acc = DenseAcc::new(self.table.len());
-        let (start, end) = (acc.start_idx(), acc.end_idx());
-        acc.occ[..self.occ.len()].copy_from_slice(&self.occ);
-        acc.occ[start] = self.start_occ;
-        acc.occ[end] = self.end_occ;
-        acc.case_count = self.case_count;
-        let map = |id: u32| match id {
-            ACC_START => start,
-            ACC_END => end,
-            _ => id as usize,
-        };
-        for (&(from, to), &c) in &self.edges {
-            acc.edges.inc(acc.n, map(from), map(to), c);
-        }
-        Dfg::from_acc(self.table.clone(), acc)
     }
 }
 
@@ -896,83 +847,68 @@ mod tests {
     #[test]
     fn accumulator_equals_batch_build() {
         let log = fictitious_log();
-        let (batch, _) = build(&log);
-        // The same traces observed one activity at a time.
-        let mut acc = DfgAccumulator::new();
-        for trace in [
-            &["read:/a", "read:/a", "read:/b"][..],
-            &["read:/a", "read:/a", "read:/b"][..],
-            &["read:/a", "read:/c"][..],
-        ] {
-            for a in trace {
-                acc.observe(a);
+        let (batch, mapped) = build(&log);
+        // The same traces observed one activity at a time, starting
+        // from an empty (growing) accumulator.
+        let mut acc = DfgAccumulator::default();
+        for case_idx in 0..log.case_count() {
+            for id in mapped.trace_of(case_idx) {
+                acc.observe(id);
             }
             acc.close_trace();
         }
         assert_eq!(acc.case_count(), 3);
-        assert_eq!(acc.events_observed(), 8);
-        let live = acc.to_dfg();
+        let live = acc.to_dfg(mapped.table());
         live.check_invariants().unwrap();
         assert_eq!(named_edges(&live), named_edges(&batch));
         assert_eq!(live.case_count(), batch.case_count());
     }
 
     #[test]
-    fn accumulator_merge_is_interleaving_independent() {
-        // Stream A and stream B discover activities in different orders;
-        // merging in either direction yields the same named graph.
-        let seed_a = [&["x", "y"][..], &["x", "z"][..]];
-        let seed_b = [&["z", "w", "x"][..]];
-        let fill = |traces: &[&[&str]]| {
-            let mut acc = DfgAccumulator::new();
-            for t in traces {
-                for a in *t {
-                    acc.observe(a);
-                }
-                acc.close_trace();
-            }
-            acc
-        };
-        let (a, b) = (fill(&seed_a), fill(&seed_b));
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(named_edges(&ab.to_dfg()), named_edges(&ba.to_dfg()));
-        assert_eq!(ab.case_count(), 3);
-
-        // Reference: all traces through one accumulator.
-        let mut whole = fill(&seed_a);
-        for t in &seed_b {
-            for act in *t {
-                whole.observe(act);
-            }
-            whole.close_trace();
-        }
-        assert_eq!(named_edges(&ab.to_dfg()), named_edges(&whole.to_dfg()));
-        ab.to_dfg().check_invariants().unwrap();
-    }
-
-    #[test]
     fn accumulator_open_trace_is_partial_until_closed() {
-        let mut acc = DfgAccumulator::new();
-        acc.observe("a");
-        acc.observe("b");
-        assert!(acc.trace_open());
+        let mut table = ActivityTable::new();
+        let (a, b) = (table.intern("a"), table.intern("b"));
+        let mut acc = DfgAccumulator::default();
+        acc.observe(a);
+        acc.observe(b);
         // Honest partial: edges so far, no case sealed yet.
-        let partial = acc.to_dfg();
+        let partial = acc.to_dfg(&table);
         assert_eq!(partial.case_count(), 0);
         assert_eq!(partial.edge_count_named("●", "a"), 1);
         assert_eq!(partial.edge_count_named("a", "b"), 1);
         assert_eq!(partial.edge_count_named("b", "■"), 0);
+        // A whole trace added meanwhile leaves the open one untouched.
+        acc.add_trace([b], 2);
         acc.close_trace();
-        assert!(!acc.trace_open());
-        let sealed = acc.to_dfg();
-        assert_eq!(sealed.case_count(), 1);
+        let sealed = acc.to_dfg(&table);
+        assert_eq!(sealed.case_count(), 3);
+        assert_eq!(sealed.edge_count_named("b", "■"), 3);
         sealed.check_invariants().unwrap();
         // Empty close is a no-op.
         acc.close_trace();
-        assert_eq!(acc.case_count(), 1);
+        assert_eq!(acc.case_count(), 3);
+    }
+
+    #[test]
+    fn accumulator_growth_crosses_into_sparse_storage() {
+        // Growing one id at a time past the matrix budget re-lays the
+        // counts out without losing any.
+        let mut table = ActivityTable::new();
+        let mut acc = DfgAccumulator::default();
+        let ids: Vec<ActivityId> = (0..MATRIX_MAX_NODES + 10)
+            .map(|k| table.intern(&format!("read:/p{k}")))
+            .collect();
+        for &id in &ids {
+            acc.observe(id);
+        }
+        acc.close_trace();
+        assert!(matches!(acc.edges, EdgeCounts::Sparse(_)));
+        let mut batch = DfgAccumulator::with_activities(table.len());
+        batch.add_trace(ids.iter().copied(), 1);
+        let (live, batch) = (acc.to_dfg(&table), batch.to_dfg(&table));
+        live.check_invariants().unwrap();
+        assert_eq!(named_edges(&live), named_edges(&batch));
+        assert_eq!(live.activity_node_count(), MATRIX_MAX_NODES + 10);
     }
 
     #[test]

@@ -35,11 +35,13 @@
 //!   ([`mapping::CallTopDirs`] is the paper's Eq. 4, [`mapping::SiteMap`]
 //!   the site-variable abstraction `f̄` of Sec. V);
 //! * [`mapped`] — [`mapped::MappedLog`]: the event log with its activity
-//!   column materialized (Fig. 6 step 2), shared by everything below;
+//!   column materialized (Fig. 6 step 2), shared by everything below,
+//!   and [`mapped::ActivityMapper`], the per-event mapping step it
+//!   shares with live ingest;
 //! * [`activity_log`] — the multiset of activity traces
 //!   `L_f(C) ∈ B(A_f*)`;
-//! * [`dfg`] — DFG construction in one O(n) pass over dense counts,
-//!   plus the incremental accumulator behind live ingest;
+//! * [`dfg`] — DFG construction through one dense count accumulator,
+//!   folded in one O(n) pass in batch and one event at a time live;
 //! * [`diff`](mod@diff) — cross-run DFG comparison: name-aligned structural diff
 //!   with frequency normalization (the Sec. V inspection loop —
 //!   SSF vs FPP, MPI-IO vs POSIX — as an operation);
@@ -73,7 +75,7 @@ pub use activity_log::ActivityLog;
 pub use color::{PartitionColoring, Rgb, StatisticsColoring, Styler};
 pub use dfg::{Dfg, DfgAccumulator, Node};
 pub use diff::{diff, DfgDiff, DiffSummary, EdgeDiff, NodeDiff, Presence};
-pub use mapped::MappedLog;
+pub use mapped::{ActivityMapper, MappedLog};
 pub use mapping::{CallOnly, CallTopDirs, FnMapping, Mapping, PathFilter, PathSuffix, SiteMap};
 pub use render::{
     render_dfg_dot, render_diff_dot, render_diff_report, render_diff_stats, render_dot,

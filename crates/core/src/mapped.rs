@@ -5,12 +5,14 @@
 //! activity-log multiset, statistics and timelines. [`MappedLog`] is that
 //! artifact: per case, per event, an `Option<ActivityId>` (None = the
 //! partial mapping left the event out). Applying the mapping is one O(n)
-//! pass; call/path-keyed mappings resolve each distinct key once.
+//! pass of an [`ActivityMapper`], which resolves each distinct key of a
+//! call/path-keyed mapping once; the live daemon maps its event streams
+//! through the same mapper.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use st_model::{Event, EventLog};
+use st_model::{CaseMeta, Event, EventLog};
 
 use crate::activity::{ActivityId, ActivityTable};
 use crate::mapping::{MapCtx, Mapping};
@@ -63,6 +65,61 @@ impl Hasher for MemoHasher {
 
 type Memo = HashMap<(u64, u32), Option<ActivityId>, BuildHasherDefault<MemoHasher>>;
 
+/// Applies a mapping event by event, numbering the activities it yields
+/// in one growing [`ActivityTable`].
+///
+/// For call/path-keyed mappings ([`Mapping::keyed_by_call_path`]) the
+/// result per distinct `(call, path)` symbol pair is memoized, so a
+/// repeated pair costs one small-integer hash lookup instead of path
+/// resolution, name formatting and table hashing. The memo is keyed by
+/// interned symbols: every mapped event must come from one interner.
+pub struct ActivityMapper<'m> {
+    mapping: &'m dyn Mapping,
+    table: ActivityTable,
+    memo: Option<Memo>,
+    /// Scratch buffer for activity names.
+    buf: String,
+}
+
+impl<'m> ActivityMapper<'m> {
+    /// A mapper with an empty activity table.
+    pub fn new(mapping: &'m dyn Mapping) -> Self {
+        ActivityMapper {
+            mapping,
+            table: ActivityTable::new(),
+            memo: mapping.keyed_by_call_path().then(Memo::default),
+            buf: String::new(),
+        }
+    }
+
+    /// The activity of `event`, or `None` when the mapping leaves it
+    /// out; a new activity is appended to the table.
+    #[inline]
+    pub fn map(&mut self, ctx: &MapCtx<'_>, meta: &CaseMeta, event: &Event) -> Option<ActivityId> {
+        let ActivityMapper {
+            mapping,
+            table,
+            memo,
+            buf,
+        } = self;
+        let mut resolve = || {
+            buf.clear();
+            mapping
+                .write_activity(ctx, meta, event, buf)
+                .then(|| table.intern(buf))
+        };
+        match memo {
+            Some(memo) => *memo.entry(memo_key(event)).or_insert_with(resolve),
+            None => resolve(),
+        }
+    }
+
+    /// The activities numbered so far.
+    pub fn table(&self) -> &ActivityTable {
+        &self.table
+    }
+}
+
 /// An event log plus its per-event activity assignment under a mapping
 /// `f : E ⇀ A_f`.
 pub struct MappedLog<'log> {
@@ -81,32 +138,20 @@ impl<'log> MappedLog<'log> {
         let ctx = MapCtx {
             snapshot: &snapshot,
         };
-        let mut table = ActivityTable::new();
-        let mut assignments = Vec::with_capacity(log.case_count());
-        let mut buf = String::new();
-        let mut memo = mapping.keyed_by_call_path().then(Memo::default);
-        for case in log.cases() {
-            let mut resolve = |event: &Event| {
-                buf.clear();
-                mapping
-                    .write_activity(&ctx, &case.meta, event, &mut buf)
-                    .then(|| table.intern(&buf))
-            };
-            let row = case
-                .events
-                .iter()
-                .map(|event| match memo.as_mut() {
-                    Some(memo) => *memo
-                        .entry(memo_key(event))
-                        .or_insert_with(|| resolve(event)),
-                    None => resolve(event),
-                })
-                .collect();
-            assignments.push(row);
-        }
+        let mut mapper = ActivityMapper::new(mapping);
+        let assignments = log
+            .cases()
+            .iter()
+            .map(|case| {
+                case.events
+                    .iter()
+                    .map(|event| mapper.map(&ctx, &case.meta, event))
+                    .collect()
+            })
+            .collect();
         MappedLog {
             log,
-            table,
+            table: mapper.table,
             assignments,
         }
     }

@@ -77,7 +77,8 @@ pub trait Mapping: Sync {
     /// pure function of the event's `(call, path)` symbols — independent
     /// of the case meta and of every other event attribute.
     ///
-    /// Returning `true` lets [`MappedLog`](crate::MappedLog) memoize
+    /// Returning `true` lets [`ActivityMapper`](crate::ActivityMapper)
+    /// (behind [`MappedLog`](crate::MappedLog) and live ingest) memoize
     /// activity resolution per distinct `(call, path)` pair, skipping
     /// path resolution, name formatting and table hashing for repeated
     /// symbols — the common case, since traces touch a handful of files
@@ -117,7 +118,7 @@ pub struct CallTopDirs {
 
 impl CallTopDirs {
     /// Creates the mapping; the paper uses `levels = 2`.
-    pub fn new(levels: usize) -> Self {
+    pub const fn new(levels: usize) -> Self {
         CallTopDirs { levels }
     }
 }

@@ -16,13 +16,15 @@
 //! configuration starts no thread besides the accept loop.
 //!
 //! Each ingest connection streams its POST body line-at-a-time through
-//! [`st_strace::StreamParser`] and folds mapped activities into a
-//! per-stream [`DfgAccumulator`]; `GET /dfg` merges the per-stream
-//! partials by name-aligned vector addition, so the live graph is a
-//! merge, never a rescan. An in-flight partial follows
-//! strace's completion order; when its stream completes, the partial
-//! is replaced by one folded from the start-sorted case, so once every
-//! stream is done `/dfg` equals the batch DFG over the sealed store.
+//! [`st_strace::StreamParser`], maps each event through the daemon's
+//! one [`ActivityMapper`] and folds the activity into a per-stream
+//! [`DfgAccumulator`]. Every partial numbers activities from that one
+//! table, so `GET /dfg` is a plain vector sum of the sealed accumulator
+//! and the in-flight partials — never a rescan, never a name lookup.
+//! An in-flight partial follows strace's completion order; when its
+//! stream completes, the partial is dropped and the start-sorted case
+//! is folded into the sealed accumulator, so once every stream is done
+//! `/dfg` equals the batch DFG over the sealed store.
 //!
 //! Completed streams are pushed into a shared [`StoreBuilder`] and
 //! published with [`StoreBuilder::checkpoint`]: fsync + atomic rename,
@@ -45,7 +47,7 @@
 //! | `GET /status` | one-line liveness summary |
 //! | `POST /shutdown` | graceful drain: seal everything, finish the store |
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -54,9 +56,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use st_core::mapping::{CallTopDirs, MapCtx, Mapping};
+use st_core::mapping::{CallTopDirs, MapCtx};
 use st_core::render::{render_dot_plain, render_events_tsv, render_stats_text};
-use st_core::DfgAccumulator;
+use st_core::{ActivityMapper, Dfg, DfgAccumulator};
 use st_model::{CaseMeta, Event, Interner, InternerSnapshot};
 use st_source::{Inspector, Session, TraceSource};
 use st_store::{ColumnSet, StoreBuilder};
@@ -152,12 +154,54 @@ struct Sealer {
     cases_sealed: u64,
 }
 
-/// Live (not-yet-rescanned) DFG state: the merged accumulator of all
-/// completed streams plus a registry of per-stream partials still
-/// being fed by their connections.
+/// The live DFG's mapping: the paper's topdirs:2, as `/query` uses.
+static LIVE_MAPPING: CallTopDirs = CallTopDirs::new(2);
+
+/// Live (not-yet-rescanned) DFG state over one activity id space: the
+/// mapper that numbers activities, the accumulator of all completed
+/// streams, and the partials of streams still being fed by their
+/// connections, keyed by stream id.
 struct LiveDfg {
+    mapper: ActivityMapper<'static>,
     sealed: DfgAccumulator,
-    open: Vec<Arc<Mutex<DfgAccumulator>>>,
+    open: BTreeMap<u64, DfgAccumulator>,
+    next_stream: u64,
+}
+
+impl LiveDfg {
+    /// Registers an in-flight stream's partial; returns the stream id.
+    fn open_stream(&mut self) -> u64 {
+        self.next_stream += 1;
+        self.open
+            .insert(self.next_stream, DfgAccumulator::default());
+        self.next_stream
+    }
+
+    /// Appends the mapped `events` to stream `id`'s open trace.
+    fn observe(&mut self, id: u64, ctx: &MapCtx<'_>, meta: &CaseMeta, events: &[&Event]) {
+        let partial = self.open.get_mut(&id).expect("stream is registered");
+        for e in events {
+            if let Some(activity) = self.mapper.map(ctx, meta, e) {
+                partial.observe(activity);
+            }
+        }
+    }
+
+    /// Replaces stream `id`'s partial with its completed case.
+    fn seal_stream(&mut self, id: u64, ctx: &MapCtx<'_>, meta: &CaseMeta, events: &[Event]) {
+        self.open.remove(&id);
+        let trace = events.iter().filter_map(|e| self.mapper.map(ctx, meta, e));
+        self.sealed.add_trace(trace, 1);
+    }
+
+    /// The sealed accumulator plus every in-flight partial.
+    fn merged(&self) -> Dfg {
+        let mut total = self.sealed.clone();
+        for partial in self.open.values() {
+            total.merge(partial);
+        }
+        total.to_dfg(self.mapper.table())
+    }
 }
 
 /// The `/tail` ring: monotonically numbered rendered event rows.
@@ -297,8 +341,10 @@ impl Daemon {
                 cases_sealed: 0,
             }),
             live: Mutex::new(LiveDfg {
-                sealed: DfgAccumulator::new(),
-                open: Vec::new(),
+                mapper: ActivityMapper::new(&LIVE_MAPPING),
+                sealed: DfgAccumulator::default(),
+                open: BTreeMap::new(),
+                next_stream: 0,
             }),
             tail: Mutex::new(Tail {
                 next_seq: 0,
@@ -583,26 +629,14 @@ fn handle_ingest(
         return;
     }
 
-    // Register this stream's DFG partial so /dfg can merge it while
+    // Register this stream's DFG partial so /dfg can sum it in while
     // the connection is still feeding lines.
-    let acc = Arc::new(Mutex::new(DfgAccumulator::new()));
-    shared
-        .live
-        .lock()
-        .expect("live lock")
-        .open
-        .push(acc.clone());
-    // Unregisters the partial; a completed stream's case DFG takes its
-    // place in the sealed accumulator.
-    let deregister = |completed: Option<&DfgAccumulator>| {
-        let mut live = shared.live.lock().expect("live lock");
-        if let Some(case) = completed {
-            live.sealed.merge(case);
-        }
-        live.open.retain(|a| !Arc::ptr_eq(a, &acc));
+    let stream = shared.live.lock().expect("live lock").open_stream();
+    // Drops the partial of a stream that will not complete.
+    let abandon = || {
+        shared.live.lock().expect("live lock").open.remove(&stream);
     };
 
-    let mapping = CallTopDirs::new(2);
     let mut parser = StreamParser::new(shared.interner.clone());
     let mut body = BufReader::new(Body::for_request(req, reader));
     let mut line = String::new();
@@ -612,7 +646,7 @@ fn handle_ingest(
         let n = match body.read_line(&mut line) {
             Ok(n) => n,
             Err(e) => {
-                deregister(None);
+                abandon();
                 respond_text(writer, 400, &format!("ingest read failed: {e}\n"));
                 return;
             }
@@ -624,28 +658,24 @@ fn handle_ingest(
         batch_budget += 1;
         if batch_budget >= 256 {
             batch_budget = 0;
-            drain_new_events(shared, &meta, &mut parser, &acc, &mapping);
+            drain_new_events(shared, &meta, &mut parser, stream);
             if parser.events_parsed() > shared.config.max_stream_events {
-                deregister(None);
+                abandon();
                 respond_text(writer, 413, "stream exceeds max_stream_events\n");
                 return;
             }
         }
     }
-    drain_new_events(shared, &meta, &mut parser, &acc, &mapping);
+    drain_new_events(shared, &meta, &mut parser, stream);
     let lines_fed = parser.lines_fed();
     let parsed = parser.finish();
     // The in-flight partial saw events in completion order; the batch
-    // DFG walks the case in start order, so refold the sorted case.
+    // DFG walks the case in start order, so fold the sorted case.
     let snap = shared.interner.snapshot();
     let ctx = MapCtx { snapshot: &snap };
-    let mut case_dfg = DfgAccumulator::new();
-    let mut activity = String::new();
-    for e in &parsed.events {
-        observe_event(&mut case_dfg, &mapping, &ctx, &meta, e, &mut activity);
-    }
-    case_dfg.close_trace();
-    deregister(Some(&case_dfg));
+    let mut live = shared.live.lock().expect("live lock");
+    live.seal_stream(stream, &ctx, &meta, &parsed.events);
+    drop(live);
 
     // Seal: append the completed, start-sorted case and (by default)
     // publish a checkpoint so the data is durable and queryable.
@@ -686,47 +716,20 @@ fn handle_ingest(
     }
 }
 
-/// Appends `e`'s activity, if `mapping` maps it, to `acc`'s open trace.
-/// `activity` is scratch space reused across calls.
-fn observe_event(
-    acc: &mut DfgAccumulator,
-    mapping: &CallTopDirs,
-    ctx: &MapCtx<'_>,
-    meta: &CaseMeta,
-    e: &Event,
-    activity: &mut String,
-) {
-    activity.clear();
-    if mapping.write_activity(ctx, meta, e, activity) {
-        acc.observe(activity);
-    }
-}
-
 /// Folds newly parsed events into the stream's DFG partial and the
 /// `/tail` ring. One interner snapshot per batch.
-fn drain_new_events(
-    shared: &Arc<Shared>,
-    meta: &CaseMeta,
-    parser: &mut StreamParser,
-    acc: &Arc<Mutex<DfgAccumulator>>,
-    mapping: &CallTopDirs,
-) {
-    let snap = shared.interner.snapshot();
-    let ctx = MapCtx { snapshot: &snap };
-    let mut activity = String::new();
-    let mut tail_lines: Vec<String> = Vec::new();
-    let mut count = 0u64;
-    {
-        let mut acc = acc.lock().expect("acc lock");
-        for e in parser.poll_events() {
-            count += 1;
-            observe_event(&mut acc, mapping, &ctx, meta, e, &mut activity);
-            tail_lines.push(tail_line(meta, e, &snap));
-        }
-    }
-    if count == 0 {
+fn drain_new_events(shared: &Arc<Shared>, meta: &CaseMeta, parser: &mut StreamParser, stream: u64) {
+    let events: Vec<&Event> = parser.poll_events().collect();
+    if events.is_empty() {
         return;
     }
+    let snap = shared.interner.snapshot();
+    let ctx = MapCtx { snapshot: &snap };
+    let mut live = shared.live.lock().expect("live lock");
+    live.observe(stream, &ctx, meta, &events);
+    drop(live);
+    let tail_lines: Vec<String> = events.iter().map(|e| tail_line(meta, e, &snap)).collect();
+    let count = events.len() as u64;
     shared.events_ingested.fetch_add(count, Ordering::SeqCst);
     st_obs::add("serve.events_ingested", count);
     let mut tail = shared.tail.lock().expect("tail lock");
@@ -742,18 +745,12 @@ fn drain_new_events(
     shared.tail_cv.notify_all();
 }
 
-/// Merges the sealed accumulator with every in-flight stream partial
-/// and renders the result — vector addition, never a rescan.
+/// Sums the sealed accumulator and every in-flight stream partial and
+/// renders the result — vector addition, never a rescan.
 fn render_live_dfg(shared: &Arc<Shared>) -> String {
     let _span = st_obs::span("serve.dfg");
-    let live = shared.live.lock().expect("live lock");
-    let mut total = DfgAccumulator::new();
-    total.merge(&live.sealed);
-    for stream in &live.open {
-        total.merge(&stream.lock().expect("acc lock"));
-    }
-    drop(live);
-    render_dot_plain(&total.to_dfg())
+    let dfg = shared.live.lock().expect("live lock").merged();
+    render_dot_plain(&dfg)
 }
 
 /// The event columns the query projections read — identical to the

@@ -297,6 +297,55 @@ fn graceful_shutdown_leaves_fsck_clean_store() {
 }
 
 #[test]
+fn over_cap_stream_is_rejected_with_413_and_leaves_no_trace() {
+    let dir = tempdir("413");
+    let store = dir.join("live.stlog2");
+    let mut config = ServeConfig::new(&store);
+    config.max_stream_events = 100;
+    let handle = Daemon::start(config).unwrap();
+    let addr = handle.addr();
+
+    // 700 lines: the cap check runs after every 256-line batch, so it
+    // fires mid-stream, on the first batch past 100 events.
+    let text = stream_text(5, 700);
+    let mut s = TcpStream::connect(addr).unwrap();
+    let head = format!(
+        "POST /ingest/big_hostZ_77.st HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+        text.len()
+    );
+    // The daemon answers and closes without reading the rest of the
+    // body, so the tail of the upload may fail; the response does not.
+    let _ = s
+        .write_all(head.as_bytes())
+        .and_then(|()| s.write_all(text.as_bytes()));
+    let mut resp = Vec::new();
+    let mut buf = [0u8; 4096];
+    while let Ok(n @ 1..) = s.read(&mut buf) {
+        resp.extend_from_slice(&buf[..n]);
+    }
+    let resp = String::from_utf8_lossy(&resp);
+    assert!(resp.starts_with("HTTP/1.1 413"), "{resp}");
+
+    // The stream's partial is gone from the live DFG, no stream was
+    // sealed...
+    let (status, _, dot) = get(addr, "/dfg");
+    assert_eq!(status, 200);
+    let dot = String::from_utf8(dot).unwrap();
+    assert!(!dot.contains("/data/"), "{dot}");
+    let status = String::from_utf8(get(addr, "/status").2).unwrap();
+    assert!(status.contains("streams_sealed=0"), "{status}");
+    // ...although a batch of its events was ingested before the check.
+    assert!(!status.contains("events_ingested=0"), "{status}");
+    // The sealed store holds no case for it either.
+    handle.shutdown();
+    handle.join().unwrap();
+    let salvaged = st_store::open_salvage_seek(&store).unwrap();
+    assert!(salvaged.report.is_clean(), "{:?}", salvaged.report);
+    assert!(salvaged.reader.read().unwrap().cases().is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn tail_long_polls_and_metrics_report() {
     let dir = tempdir("tail");
     let handle = Daemon::start(ServeConfig::new(dir.join("live.stlog2"))).unwrap();

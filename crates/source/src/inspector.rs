@@ -399,7 +399,6 @@ impl Inspector {
         if !source.is_trace_text() {
             let inert = [
                 (load.streaming, "streaming"),
-                (!load.parallel, "sequential parsing"),
                 (load.strict_names, "strict file naming"),
                 (load.threads != 0, "a loader worker budget"),
             ];

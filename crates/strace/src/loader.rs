@@ -22,9 +22,8 @@ use crate::parser::{parse_par, parse_reader, parse_str};
 /// Options for [`load_dir`] / [`load_files`].
 #[derive(Debug, Clone)]
 pub struct LoadOptions {
-    /// Parse files on multiple threads (one file per task).
-    pub parallel: bool,
-    /// Worker count; `0` uses the machine's available parallelism.
+    /// Worker count; `0` uses the machine's available parallelism and
+    /// `1` parses sequentially on the calling thread.
     pub threads: usize,
     /// Fail on file names that do not follow the `<cid>_<host>_<rid>.st`
     /// convention. When `false`, a fallback identity (cid = file stem,
@@ -42,7 +41,6 @@ pub struct LoadOptions {
 impl Default for LoadOptions {
     fn default() -> Self {
         LoadOptions {
-            parallel: true,
             threads: 0,
             strict_names: false,
             extension: "st".to_string(),
@@ -120,17 +118,11 @@ pub fn load_files(
     // `requested` is the total worker budget; `n_workers` caps the
     // across-files fan-out at the file count. When the budget exceeds
     // what files alone can use, the surplus moves *inside* each file.
-    let requested = if opts.parallel {
-        let avail = std::thread::available_parallelism()
+    let requested = match opts.threads {
+        0 => std::thread::available_parallelism()
             .map(|n| n.get())
-            .unwrap_or(1);
-        if opts.threads == 0 {
-            avail
-        } else {
-            opts.threads
-        }
-    } else {
-        1
+            .unwrap_or(1),
+        n => n,
     };
     let n_workers = requested.min(files.len().max(1));
 
@@ -297,7 +289,7 @@ mod tests {
             &dir,
             Interner::new_shared(),
             &LoadOptions {
-                parallel: false,
+                threads: 1,
                 ..Default::default()
             },
         )
@@ -306,7 +298,6 @@ mod tests {
             &dir,
             Interner::new_shared(),
             &LoadOptions {
-                parallel: true,
                 threads: 4,
                 ..Default::default()
             },
@@ -345,7 +336,7 @@ mod tests {
             &dir,
             Interner::new_shared(),
             &LoadOptions {
-                parallel: false,
+                threads: 1,
                 ..Default::default()
             },
         )
@@ -354,7 +345,6 @@ mod tests {
             &dir,
             Interner::new_shared(),
             &LoadOptions {
-                parallel: true,
                 threads: 8,
                 ..Default::default()
             },

@@ -124,7 +124,7 @@ fn parallel_loader_matches_sequential_end_to_end() {
         &dir,
         Interner::new_shared(),
         &LoadOptions {
-            parallel: false,
+            threads: 1,
             ..Default::default()
         },
     )
@@ -133,7 +133,6 @@ fn parallel_loader_matches_sequential_end_to_end() {
         &dir,
         Interner::new_shared(),
         &LoadOptions {
-            parallel: true,
             threads: 4,
             ..Default::default()
         },

@@ -99,6 +99,66 @@ proptest! {
         prop_assert_eq!(dfg_edges_by_name(&direct), dfg_edges_by_name(&via));
     }
 
+    /// Merge law of the one accumulator: split a log's cases over `k`
+    /// accumulators that share the mapped log's activity table, fold
+    /// each case one activity at a time, and merge the partials in any
+    /// order — the result is the batch DFG, named edge for named edge,
+    /// occurrence for occurrence, case for case. An open trace shows
+    /// no end edge until it is closed.
+    #[test]
+    fn accumulator_merge_equals_batch_build(
+        specs in log_strategy(8, 30),
+        owners in prop::collection::vec(0usize..4, 8..9),
+        order in prop::collection::vec(0u32..1000, 4..5),
+    ) {
+        let log = build_log(&specs);
+        let mapped = MappedLog::new(&log, &CallTopDirs::new(2));
+        let batch = Dfg::from_mapped(&mapped);
+
+        let mut partials = vec![DfgAccumulator::default(); 4];
+        for case_idx in 0..log.case_count() {
+            let acc = &mut partials[owners[case_idx]];
+            for id in mapped.trace_of(case_idx) {
+                acc.observe(id);
+            }
+            acc.close_trace();
+        }
+        let mut by_order: Vec<usize> = (0..partials.len()).collect();
+        by_order.sort_by_key(|&i| (order[i], i));
+        let mut merged = DfgAccumulator::default();
+        for i in by_order {
+            merged.merge(&partials[i]);
+        }
+        let merged = merged.to_dfg(mapped.table());
+        prop_assert!(merged.check_invariants().is_ok());
+        prop_assert_eq!(dfg_edges_by_name(&merged), dfg_edges_by_name(&batch));
+        prop_assert_eq!(merged.case_count(), batch.case_count());
+        for node in batch.nodes() {
+            prop_assert_eq!(merged.occurrences(node), batch.occurrences(node));
+        }
+        prop_assert_eq!(merged.nodes().count(), batch.nodes().count());
+
+        // Reopen the first non-empty trace: until it is closed, it adds
+        // its start and inner edges but no edge into the end marker.
+        if let Some(trace) = (0..log.case_count())
+            .map(|c| mapped.trace_of(c))
+            .find(|t| !t.is_empty())
+        {
+            let mut open = DfgAccumulator::default();
+            for &id in &trace {
+                open.observe(id);
+            }
+            let partial = open.to_dfg(mapped.table());
+            prop_assert_eq!(partial.case_count(), 0);
+            prop_assert_eq!(partial.occurrences(Node::End), 0);
+            prop_assert!(partial.edges().all(|(_, to, _)| to != Node::End));
+            prop_assert_eq!(partial.edge_count(Node::Start, Node::Act(trace[0])), 1);
+            open.close_trace();
+            let last = Node::Act(trace[trace.len() - 1]);
+            prop_assert_eq!(open.to_dfg(mapped.table()).edge_count(last, Node::End), 1);
+        }
+    }
+
     /// Statistics normalization: relative durations sum to 1 (when any
     /// time was spent) and byte totals match the raw log.
     #[test]

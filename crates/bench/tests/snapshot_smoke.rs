@@ -63,6 +63,15 @@ fn quick_snapshot_writes_every_section_with_positive_timings() {
     }
     assert!(timings > 0, "no `*_ns` field found");
 
+    // The paper-scale statistics row splits the first call (interval
+    // index build included) from a warm repeat and a per-cid view.
+    for field in ["first_compute_ns", "warm_compute_ns", "cid_view_ns"] {
+        assert!(
+            json.contains(&format!("\"{field}\": ")),
+            "stats.ior_ssf_fpp lacks {field}"
+        );
+    }
+
     assert!(
         !json.contains("build_par4_ns_per_event"),
         "the dfg section still times a parallel build"

@@ -14,56 +14,137 @@
 //! paper's windowed definition for fidelity and the exact sweep is
 //! exposed for comparison (`bench_snapshot`'s `concurrency` section
 //! times both and records the gap).
+//!
+//! Both values, plus the number of distinct cases active at once, come
+//! from one merged sweep (`Sweep`) over intervals already sorted by
+//! `(start, end)`: it sorts the ends once and walks starts and ends
+//! together, ends first at equal times (half-open intervals). When the
+//! end of the `k`-th interval is popped, the starts consumed so far are
+//! exactly those before that end, so the Eq. 16 window `[k, j)` needs no
+//! binary search. The statistics engine feeds it from the per-activity
+//! sorted index of [`crate::MappedLog`]; the public functions here sort
+//! their input first and run the same sweep.
 
 use st_model::Micros;
+
+/// The three concurrency values of one interval set.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Concurrency {
+    /// The paper's windowed max-concurrency (Eq. 16).
+    pub windowed: u32,
+    /// The exact pointwise maximum.
+    pub exact: u32,
+    /// The maximum number of distinct cases active at one instant.
+    pub cases: u32,
+}
+
+/// The merged start/end sweep, with scratch buffers reused across
+/// interval sets.
+pub(crate) struct Sweep {
+    /// `(end, start-order position, case)` of every interval, sorted
+    /// by end.
+    ends: Vec<(Micros, u32, u32)>,
+    /// Open intervals per case. Every interval opens and closes once,
+    /// so the counters are back at zero after each [`Sweep::run`].
+    open_per_case: Vec<i32>,
+}
+
+impl Sweep {
+    /// A sweep over intervals whose case indices are below `cases`.
+    pub(crate) fn new(cases: usize) -> Sweep {
+        Sweep {
+            ends: Vec::new(),
+            open_per_case: vec![0; cases],
+        }
+    }
+
+    /// Sweeps `(start, end, case)` intervals that arrive sorted by
+    /// `(start, end)`. An end before its start counts as a zero-length
+    /// interval at the start.
+    ///
+    /// Neither the order of equal ends nor that of equal intervals
+    /// changes a result: between two equal ends no start is consumed,
+    /// and equal starts are consumed together.
+    pub(crate) fn run<I>(&mut self, sorted: I) -> Concurrency
+    where
+        I: Iterator<Item = (Micros, Micros, u32)> + Clone,
+    {
+        self.ends.clear();
+        self.ends.extend(
+            sorted
+                .clone()
+                .zip(0u32..)
+                .map(|((start, end, case), k)| (end.max(start), k, case)),
+        );
+        if self.ends.is_empty() {
+            return Concurrency::default();
+        }
+        self.ends.sort_unstable_by_key(|&(end, _, _)| end);
+
+        let mut starts = sorted.peekable();
+        let (mut consumed, mut open, mut open_cases) = (0u32, 0i32, 0u32);
+        let (mut windowed, mut exact, mut cases) = (1u32, 0i32, 0u32);
+        for &(end, k, case) in &self.ends {
+            // Ends go first at equal times: an interval ending when
+            // another starts does not overlap it.
+            while let Some((_, _, c)) = starts.next_if(|&(start, _, _)| start < end) {
+                consumed += 1;
+                open += 1;
+                exact = exact.max(open);
+                let n = &mut self.open_per_case[c as usize];
+                *n += 1;
+                if *n == 1 {
+                    open_cases += 1;
+                    cases = cases.max(open_cases);
+                }
+            }
+            // Starts consumed = the partition point of `start < end`:
+            // the window of Eq. 16 opened by interval `k`.
+            windowed = windowed.max(consumed.saturating_sub(k));
+            open -= 1;
+            let n = &mut self.open_per_case[case as usize];
+            *n -= 1;
+            if *n == 0 {
+                open_cases -= 1;
+            }
+        }
+        // What is left are zero-length intervals whose ends were popped
+        // first: they only bring their counters back to zero.
+        for (_, _, c) in starts {
+            self.open_per_case[c as usize] += 1;
+        }
+        Concurrency {
+            windowed,
+            exact: exact as u32,
+            cases,
+        }
+    }
+}
+
+/// Sorts `intervals` by `(start, end)` and sweeps them as one case.
+fn sweep_unsorted(intervals: &[(Micros, Micros)]) -> Concurrency {
+    let mut sorted = intervals.to_vec();
+    sorted.sort_unstable();
+    Sweep::new(1).run(sorted.iter().map(|&(start, end)| (start, end, 0)))
+}
 
 /// The paper's windowed algorithm (Eq. 16): max length of a
 /// consecutive-run window `[i..j]` in start-sorted order with
 /// `end_i > start_j`.
+///
+/// Start ties are broken by end: the paper only specifies increasing
+/// start timestamps, but the tie order shifts window widths, and this
+/// one makes the result independent of input order. Any tie order keeps
+/// the upper-bound property.
 pub fn max_concurrency_windowed(intervals: &[(Micros, Micros)]) -> u32 {
-    if intervals.is_empty() {
-        return 0;
-    }
-    let mut sorted = intervals.to_vec();
-    // Sort by (start, end): the paper only specifies increasing start
-    // timestamps, but breaking start ties by end makes the result
-    // independent of input order (equal-start intervals with different
-    // ends would otherwise shift window widths with their relative
-    // positions). Any tie order keeps the upper-bound property.
-    sorted.sort_by_key(|&(s, e)| (s, e));
-    let mut best = 1u32;
-    for i in 0..sorted.len() {
-        let end_i = sorted[i].1;
-        // Widest window starting at i: last j with start_j < end_i.
-        // Starts are sorted, so binary search the boundary.
-        let j = sorted.partition_point(|(s, _)| *s < end_i);
-        // Window is [i, j); zero-length intervals can make j <= i.
-        best = best.max(j.saturating_sub(i) as u32);
-    }
-    best
+    sweep_unsorted(intervals).windowed
 }
 
 /// Exact pointwise maximum concurrency via sweep-line over start/end
 /// boundaries. Half-open semantics: an interval ending exactly when
 /// another starts does not overlap it.
 pub fn max_concurrency_exact(intervals: &[(Micros, Micros)]) -> u32 {
-    if intervals.is_empty() {
-        return 0;
-    }
-    let mut boundaries: Vec<(Micros, i32)> = Vec::with_capacity(intervals.len() * 2);
-    for &(start, end) in intervals {
-        boundaries.push((start, 1));
-        boundaries.push((end.max(start), -1));
-    }
-    // Process ends before starts at equal timestamps (half-open).
-    boundaries.sort_by_key(|&(t, delta)| (t, delta));
-    let mut current = 0i32;
-    let mut best = 0i32;
-    for (_, delta) in boundaries {
-        current += delta;
-        best = best.max(current);
-    }
-    best.max(0) as u32
+    sweep_unsorted(intervals).exact
 }
 
 /// Brute-force reference: for every interval start, count how many
@@ -173,6 +254,43 @@ mod tests {
             assert!(w >= e, "windowed {w} < exact {e} for {ivs:?}");
             assert!(w as usize <= ivs.len());
         }
+    }
+
+    #[test]
+    fn zero_length_intervals_open_no_instant() {
+        // The window criterion floors at 1, while no instant lies inside
+        // `[5, 5)`.
+        let ivs = iv(&[(5, 5), (5, 5)]);
+        assert_eq!(max_concurrency_windowed(&ivs), 1);
+        assert_eq!(max_concurrency_exact(&ivs), 0);
+        let mut sweep = Sweep::new(2);
+        let c = sweep.run([(Micros(5), Micros(5), 0), (Micros(5), Micros(5), 1)].into_iter());
+        assert_eq!(
+            c,
+            Concurrency {
+                windowed: 1,
+                exact: 0,
+                cases: 0
+            }
+        );
+        assert_eq!(sweep.open_per_case, [0, 0], "counters back at zero");
+    }
+
+    #[test]
+    fn case_concurrency_counts_distinct_cases_only() {
+        // Two overlapping events from the SAME case: case concurrency 1,
+        // event concurrency 2.
+        let cases = |ivs: &[(usize, u64, u64)]| {
+            let mut sorted: Vec<(Micros, Micros, u32)> = ivs
+                .iter()
+                .map(|&(c, s, e)| (Micros(s), Micros(e), c as u32))
+                .collect();
+            sorted.sort_unstable();
+            Sweep::new(2).run(sorted.into_iter()).cases
+        };
+        assert_eq!(cases(&[(0, 0, 100), (0, 10, 90), (1, 200, 300)]), 1);
+        assert_eq!(cases(&[(0, 0, 100), (1, 10, 90)]), 2);
+        assert_eq!(cases(&[]), 0);
     }
 
     #[test]

@@ -8,11 +8,17 @@
 //! pass of an [`ActivityMapper`], which resolves each distinct key of a
 //! call/path-keyed mapping once; the live daemon maps its event streams
 //! through the same mapper.
+//!
+//! The statistics engine also needs every mapped event's interval,
+//! grouped by activity and sorted by start (`IntervalIndex`). A
+//! mapped log builds that index on the first statistics call and keeps
+//! it, so any number of slices reuse one sort.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 
-use st_model::{CaseMeta, Event, EventLog};
+use st_model::{CaseMeta, Event, EventLog, LogView, Micros};
 
 use crate::activity::{ActivityId, ActivityTable};
 use crate::mapping::{MapCtx, Mapping};
@@ -120,6 +126,42 @@ impl<'m> ActivityMapper<'m> {
     }
 }
 
+/// One mapped event in the [`IntervalIndex`]: its interval
+/// `[start, end)`, its case index, and its position in the log's event
+/// order (cases in order, events in order within each case).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IndexedInterval {
+    pub start: Micros,
+    pub end: Micros,
+    pub case: u32,
+    pub event: u32,
+}
+
+impl IndexedInterval {
+    /// The `(start, end, case)` triple [`crate::concurrency::Sweep`]
+    /// reads.
+    #[inline]
+    pub fn sweep_key(&self) -> (Micros, Micros, u32) {
+        (self.start, self.end, self.case)
+    }
+}
+
+/// Every mapped event's interval, grouped by activity and sorted by
+/// `(start, end)` within each group.
+pub(crate) struct IntervalIndex {
+    /// Activity `a`'s group is `intervals[offsets[a]..offsets[a + 1]]`.
+    offsets: Vec<usize>,
+    intervals: Vec<IndexedInterval>,
+}
+
+impl IntervalIndex {
+    /// The intervals of the activity with index `a`, sorted by
+    /// `(start, end)`.
+    pub fn group(&self, a: usize) -> &[IndexedInterval] {
+        &self.intervals[self.offsets[a]..self.offsets[a + 1]]
+    }
+}
+
 /// An event log plus its per-event activity assignment under a mapping
 /// `f : E ⇀ A_f`.
 pub struct MappedLog<'log> {
@@ -127,6 +169,8 @@ pub struct MappedLog<'log> {
     table: ActivityTable,
     /// `assignments[case][event]` — the activity of the event, if mapped.
     assignments: Vec<Vec<Option<ActivityId>>>,
+    /// The statistics index, built on first use.
+    intervals: OnceLock<IntervalIndex>,
 }
 
 impl<'log> MappedLog<'log> {
@@ -153,6 +197,7 @@ impl<'log> MappedLog<'log> {
             log,
             table: mapper.table,
             assignments,
+            intervals: OnceLock::new(),
         }
     }
 
@@ -216,12 +261,9 @@ impl<'log> MappedLog<'log> {
     /// panics otherwise (activity assignments are positional).
     pub fn iter_mapped_view<'a>(
         &'a self,
-        view: &'a st_model::LogView<'_>,
+        view: &'a LogView<'_>,
     ) -> impl Iterator<Item = (usize, ActivityId, &'a st_model::Event)> + 'a {
-        assert!(
-            std::ptr::eq(self.log, view.log()),
-            "view must slice the same EventLog this MappedLog was built from"
-        );
+        self.check_view(view);
         view.slices().iter().flat_map(move |s| {
             let case = &self.log.cases()[s.case_idx];
             let row = &self.assignments[s.case_idx];
@@ -229,6 +271,78 @@ impl<'log> MappedLog<'log> {
                 row[k as usize].map(|a| (s.case_idx, a, &case.events[k as usize]))
             })
         })
+    }
+
+    fn check_view(&self, view: &LogView<'_>) {
+        assert!(
+            std::ptr::eq(self.log, view.log()),
+            "view must slice the same EventLog this MappedLog was built from"
+        );
+    }
+
+    /// The statistics index, built on the first call: a counting
+    /// scatter of the mapped events by activity, then a sort of each
+    /// group by `(start, end)`. Ties are equal intervals, and no
+    /// statistic depends on their order, so the sort need not be stable.
+    pub(crate) fn interval_index(&self) -> &IntervalIndex {
+        self.intervals.get_or_init(|| {
+            let mut offsets = vec![0usize; self.table.len() + 1];
+            for a in self.assignments.iter().flatten().flatten() {
+                offsets[a.index() + 1] += 1;
+            }
+            for a in 1..offsets.len() {
+                offsets[a] += offsets[a - 1];
+            }
+            let empty = IndexedInterval {
+                start: Micros::ZERO,
+                end: Micros::ZERO,
+                case: 0,
+                event: 0,
+            };
+            let mut intervals = vec![empty; offsets[self.table.len()]];
+            let mut next = offsets.clone();
+            let mut event = 0u32;
+            for (case, (c, row)) in self.log.cases().iter().zip(&self.assignments).enumerate() {
+                let case = u32::try_from(case).expect("case count fits in u32");
+                for (e, a) in c.events.iter().zip(row) {
+                    if let Some(a) = a {
+                        let slot = &mut next[a.index()];
+                        intervals[*slot] = IndexedInterval {
+                            start: e.start,
+                            end: e.end(),
+                            case,
+                            event,
+                        };
+                        *slot += 1;
+                    }
+                    event = event.checked_add(1).expect("event count fits in u32");
+                }
+            }
+            for w in offsets.windows(2) {
+                intervals[w[0]..w[1]].sort_unstable_by_key(|i| (i.start, i.end));
+            }
+            IntervalIndex { offsets, intervals }
+        })
+    }
+
+    /// Which events `view` keeps, indexed by [`IndexedInterval::event`].
+    ///
+    /// Panics unless `view` slices this mapped log's own event log.
+    pub(crate) fn view_mask(&self, view: &LogView<'_>) -> Vec<bool> {
+        self.check_view(view);
+        let mut first = Vec::with_capacity(self.log.case_count());
+        let mut total = 0usize;
+        for case in self.log.cases() {
+            first.push(total);
+            total += case.events.len();
+        }
+        let mut keep = vec![false; total];
+        for s in view.slices() {
+            for &k in &s.events {
+                keep[first[s.case_idx] + k as usize] = true;
+            }
+        }
+        keep
     }
 }
 

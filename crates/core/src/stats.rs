@@ -16,13 +16,18 @@
 //!
 //! Nodes render these as `Load: rd (bytes)` and `DR: mc × rate`
 //! (Eqs. 10 and 17).
-
-use std::collections::HashMap;
+//!
+//! The sums (events, durations, bytes, rates) come from one pass over
+//! the mapped events in log order. The three concurrency values come
+//! from the mapped log's interval index — each activity's intervals,
+//! sorted once per [`MappedLog`] — with one merged start/end sweep per
+//! activity ([`crate::concurrency`]). A slice filters each sorted group
+//! in order, so views never re-sort.
 
 use st_model::Micros;
 
 use crate::activity::{ActivityId, ActivityTable};
-use crate::concurrency::{max_concurrency_exact, max_concurrency_windowed};
+use crate::concurrency::Sweep;
 use crate::mapped::MappedLog;
 
 /// Statistics for one activity.
@@ -60,11 +65,14 @@ pub struct IoStatistics {
 }
 
 impl IoStatistics {
-    /// Computes all statistics in one pass over the mapped events plus a
-    /// per-activity interval sort (the paper's O(mn) step).
+    /// Computes all statistics in one pass over the mapped events plus
+    /// one concurrency sweep per activity over the mapped log's sorted
+    /// interval index. The first statistics call on a mapped log builds
+    /// that index (the paper's per-activity sort); later calls and
+    /// views reuse it.
     pub fn compute(mapped: &MappedLog<'_>) -> IoStatistics {
         let _span = st_obs::span!("stats.compute");
-        Self::accumulate(mapped, mapped.iter_mapped())
+        Self::accumulate(mapped, mapped.iter_mapped(), None)
     }
 
     /// Computes the statistics of a *slice*: only the events a
@@ -79,36 +87,37 @@ impl IoStatistics {
     /// [`MappedLog::iter_mapped_view`]).
     pub fn compute_view(mapped: &MappedLog<'_>, view: &st_model::LogView<'_>) -> IoStatistics {
         let _span = st_obs::span!("stats.compute.view");
-        Self::accumulate(mapped, mapped.iter_mapped_view(view))
+        let events = mapped.iter_mapped_view(view);
+        let keep = (!view.is_identity()).then(|| mapped.view_mask(view));
+        Self::accumulate(mapped, events, keep.as_deref())
     }
 
+    /// `keep`, when given, is the view's per-event mask
+    /// ([`MappedLog::view_mask`]); it must keep exactly the events that
+    /// `events` yields.
     fn accumulate<'a>(
         mapped: &MappedLog<'_>,
         events: impl Iterator<Item = (usize, crate::ActivityId, &'a st_model::Event)>,
+        keep: Option<&[bool]>,
     ) -> IoStatistics {
-        let m = mapped.activity_count();
+        #[derive(Clone)]
         struct Accum {
             events: u64,
             dur: Micros,
             bytes: u64,
             rate_sum: f64,
             rated: u64,
-            intervals: Vec<(Micros, Micros)>,
-            case_intervals: Vec<(usize, Micros, Micros)>,
         }
-        let mut acc: Vec<Accum> = (0..m)
-            .map(|_| Accum {
-                events: 0,
-                dur: Micros::ZERO,
-                bytes: 0,
-                rate_sum: 0.0,
-                rated: 0,
-                intervals: Vec::new(),
-                case_intervals: Vec::new(),
-            })
-            .collect();
+        let empty = Accum {
+            events: 0,
+            dur: Micros::ZERO,
+            bytes: 0,
+            rate_sum: 0.0,
+            rated: 0,
+        };
+        let mut acc = vec![empty; mapped.activity_count()];
 
-        for (case_idx, activity, event) in events {
+        for (_, activity, event) in events {
             let a = &mut acc[activity.index()];
             a.events += 1;
             a.dur += event.dur;
@@ -119,32 +128,44 @@ impl IoStatistics {
                 a.rate_sum += rate;
                 a.rated += 1;
             }
-            let interval = event.interval();
-            a.intervals.push(interval);
-            a.case_intervals.push((case_idx, interval.0, interval.1));
         }
 
+        let index = mapped.interval_index();
+        let mut sweep = Sweep::new(mapped.log().case_count());
         let total_dur: Micros = acc.iter().map(|a| a.dur).sum();
         let per = acc
             .into_iter()
-            .map(|a| ActivityStats {
-                events: a.events,
-                total_dur: a.dur,
-                rel_dur: if total_dur.as_micros() == 0 {
-                    0.0
-                } else {
-                    a.dur.as_micros() as f64 / total_dur.as_micros() as f64
-                },
-                bytes: a.bytes,
-                mean_rate_bps: if a.rated == 0 {
-                    0.0
-                } else {
-                    a.rate_sum / a.rated as f64
-                },
-                rated_events: a.rated,
-                max_concurrency: max_concurrency_windowed(&a.intervals),
-                max_concurrency_exact: max_concurrency_exact(&a.intervals),
-                case_concurrency: case_concurrency(&a.case_intervals),
+            .enumerate()
+            .map(|(id, a)| {
+                let group = index.group(id);
+                let concurrency = match keep {
+                    None => sweep.run(group.iter().map(|i| i.sweep_key())),
+                    Some(keep) => sweep.run(
+                        group
+                            .iter()
+                            .filter(|i| keep[i.event as usize])
+                            .map(|i| i.sweep_key()),
+                    ),
+                };
+                ActivityStats {
+                    events: a.events,
+                    total_dur: a.dur,
+                    rel_dur: if total_dur.as_micros() == 0 {
+                        0.0
+                    } else {
+                        a.dur.as_micros() as f64 / total_dur.as_micros() as f64
+                    },
+                    bytes: a.bytes,
+                    mean_rate_bps: if a.rated == 0 {
+                        0.0
+                    } else {
+                        a.rate_sum / a.rated as f64
+                    },
+                    rated_events: a.rated,
+                    max_concurrency: concurrency.windowed,
+                    max_concurrency_exact: concurrency.exact,
+                    case_concurrency: concurrency.cases,
+                }
             })
             .collect();
 
@@ -226,38 +247,6 @@ impl IoStatistics {
     pub fn is_empty(&self) -> bool {
         self.per.is_empty()
     }
-}
-
-/// Maximum number of distinct cases simultaneously active: sweep over
-/// boundaries keeping a per-case open-interval count.
-fn case_concurrency(intervals: &[(usize, Micros, Micros)]) -> u32 {
-    if intervals.is_empty() {
-        return 0;
-    }
-    let mut boundaries: Vec<(Micros, i32, usize)> = Vec::with_capacity(intervals.len() * 2);
-    for &(case, start, end) in intervals {
-        boundaries.push((start, 1, case));
-        boundaries.push((end.max(start), -1, case));
-    }
-    boundaries.sort_by_key(|&(t, delta, _)| (t, delta));
-    let mut per_case: HashMap<usize, i32> = HashMap::new();
-    let mut active_cases = 0u32;
-    let mut best = 0u32;
-    for (_, delta, case) in boundaries {
-        let counter = per_case.entry(case).or_insert(0);
-        let was_active = *counter > 0;
-        *counter += delta;
-        let is_active = *counter > 0;
-        match (was_active, is_active) {
-            (false, true) => {
-                active_cases += 1;
-                best = best.max(active_cases);
-            }
-            (true, false) => active_cases -= 1,
-            _ => {}
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -350,24 +339,6 @@ mod tests {
         let b = stats.get_by_name("read:/etc/passwd").unwrap();
         assert_eq!(b.max_concurrency, 1);
         assert_eq!(b.case_concurrency, 1);
-    }
-
-    #[test]
-    fn case_concurrency_counts_distinct_cases_only() {
-        // Two overlapping events from the SAME case: case concurrency 1,
-        // event concurrency 2.
-        let intervals = vec![
-            (0usize, Micros(0), Micros(100)),
-            (0usize, Micros(10), Micros(90)),
-            (1usize, Micros(200), Micros(300)),
-        ];
-        assert_eq!(super::case_concurrency(&intervals), 1);
-        let overlapping = vec![
-            (0usize, Micros(0), Micros(100)),
-            (1usize, Micros(10), Micros(90)),
-        ];
-        assert_eq!(super::case_concurrency(&overlapping), 2);
-        assert_eq!(super::case_concurrency(&[]), 0);
     }
 
     #[test]

@@ -151,3 +151,28 @@ pub fn open_image(
         st_inspector::store::BytesSegment::new(image),
     ))
 }
+
+/// Compares `actual` with `tests/golden/<name>`, or rewrites the file
+/// when `UPDATE_GOLDEN` is set (after an intentional output change).
+pub fn check_golden(name: &str, actual: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); run with UPDATE_GOLDEN=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        actual,
+        expected,
+        "output differs from {} — rerun with UPDATE_GOLDEN=1 if intentional",
+        path.display()
+    );
+}

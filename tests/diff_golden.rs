@@ -10,6 +10,9 @@
 //! UPDATE_GOLDEN=1 cargo test --test diff_golden
 //! ```
 
+mod common;
+
+use common::check_golden;
 use st_inspector::prelude::*;
 use std::sync::Arc;
 
@@ -97,29 +100,6 @@ fn fixture() -> (EventLog, EventLog) {
 
 fn dfg_of(log: &EventLog) -> Dfg {
     Dfg::from_mapped(&MappedLog::new(log, &CallTopDirs::new(2)))
-}
-
-fn check_golden(name: &str, actual: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run with UPDATE_GOLDEN=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        actual,
-        expected,
-        "output differs from {} — rerun with UPDATE_GOLDEN=1 if intentional",
-        path.display()
-    );
 }
 
 #[test]

@@ -1,10 +1,45 @@
 //! Property-based tests of the DFG synthesis invariants (Sec. IV-A).
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
+use st_inspector::core::concurrency::max_concurrency_brute;
 use st_inspector::prelude::*;
 
 mod common;
 use common::{build_log, dfg_edges_by_name, log_strategy};
+
+/// Eq. 16 counted directly: in `(start, end)` order, the widest run of
+/// intervals from `i` on that start before interval `i` ends; at least
+/// 1 when there is any interval.
+fn windowed_oracle(intervals: &[(Micros, Micros)]) -> u32 {
+    let mut sorted = intervals.to_vec();
+    sorted.sort();
+    (0..sorted.len())
+        .map(|i| {
+            let end_i = sorted[i].1;
+            sorted[i..].iter().filter(|&&(s, _)| s < end_i).count() as u32
+        })
+        .max()
+        .map_or(0, |w| w.max(1))
+}
+
+/// The most distinct cases inside an interval of `(case, start, end)`
+/// at once, checked at every interval start (half-open intervals).
+fn case_oracle(intervals: &[(usize, Micros, Micros)]) -> u32 {
+    intervals
+        .iter()
+        .map(|&(_, t, _)| {
+            intervals
+                .iter()
+                .filter(|&&(_, s, e)| s <= t && t < e)
+                .map(|&(case, _, _)| case)
+                .collect::<BTreeSet<_>>()
+                .len() as u32
+        })
+        .max()
+        .unwrap_or(0)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -174,8 +209,39 @@ proptest! {
         prop_assert_eq!(stat_bytes, log.total_bytes());
         for (_, _, s) in stats.iter() {
             prop_assert!(s.max_concurrency >= s.max_concurrency_exact);
-            prop_assert!(s.case_concurrency <= s.max_concurrency_exact.max(s.case_concurrency));
             prop_assert!(u64::from(s.max_concurrency) <= s.events);
+        }
+    }
+
+    /// The concurrency columns match their definitions, per activity,
+    /// against the O(n²) oracles above. Durations are at least 1, as in
+    /// `props_concurrency` (the brute-force reference counts a
+    /// zero-length interval as length 1; zero-length intervals are
+    /// pinned by the `concurrency` unit tests).
+    #[test]
+    fn statistics_concurrency_matches_oracles(specs in log_strategy(8, 30)) {
+        let mut specs = specs;
+        for spec in specs.iter_mut().flatten() {
+            spec.dur = spec.dur.max(1);
+        }
+        let log = build_log(&specs);
+        let mapped = MappedLog::new(&log, &CallTopDirs::new(2));
+        let stats = IoStatistics::compute(&mapped);
+        let mut per_activity = vec![Vec::new(); mapped.activity_count()];
+        for (case, activity, event) in mapped.iter_mapped() {
+            let (start, end) = event.interval();
+            per_activity[activity.index()].push((case, start, end));
+        }
+        for (id, name, s) in stats.iter() {
+            let with_cases = &per_activity[id.index()];
+            let intervals: Vec<(Micros, Micros)> =
+                with_cases.iter().map(|&(_, start, end)| (start, end)).collect();
+            let cases = with_cases.iter().map(|&(case, _, _)| case).collect::<BTreeSet<_>>();
+            prop_assert!(s.case_concurrency <= s.max_concurrency_exact, "{}", name);
+            prop_assert!(s.case_concurrency as usize <= cases.len(), "{}", name);
+            prop_assert_eq!(s.max_concurrency, windowed_oracle(&intervals), "{}", name);
+            prop_assert_eq!(s.max_concurrency_exact, max_concurrency_brute(&intervals), "{}", name);
+            prop_assert_eq!(s.case_concurrency, case_oracle(with_cases), "{}", name);
         }
     }
 

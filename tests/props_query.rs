@@ -112,10 +112,18 @@ proptest! {
         prop_assert!(st_inspector::core::diff::diff(&projected, &rebuilt).is_empty());
 
         // The statistics projection agrees with the fresh computation
-        // on the slice's totals.
+        // on every field of every activity the slice keeps (the view's
+        // table is the full log's, so it also lists dropped activities
+        // with zero events).
         let stats_view = IoStatistics::compute_view(&mapped, &view);
         let stats_rebuilt = IoStatistics::compute(&MappedLog::new(&filtered, &mapping));
         prop_assert_eq!(stats_view.total_dur(), stats_rebuilt.total_dur());
+        let mut kept = 0;
+        for (_, name, s) in stats_view.iter().filter(|(_, _, s)| s.events > 0) {
+            prop_assert_eq!(Some(s), stats_rebuilt.get_by_name(name), "{}", name);
+            kept += 1;
+        }
+        prop_assert_eq!(kept, stats_rebuilt.len());
     }
 
     /// Law 3: group-by partitions are disjoint and cover the filtered

@@ -3,11 +3,15 @@
 //! events (including interned symbol ids when both start from fresh
 //! interners) and same warnings in the same order — for any thread
 //! count and any input, including traces whose `<unfinished ...>` /
-//! `resumed` pairs straddle chunk boundaries.
+//! `resumed` pairs straddle chunk boundaries. The streaming paths
+//! (`StreamParser`, `parse_reader`) must produce the same events with
+//! symbols resolved to strings, and the same warnings.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
-use st_inspector::model::Interner;
-use st_inspector::strace::{parse_par, parse_str};
+use st_inspector::model::{Event, Interner};
+use st_inspector::strace::{parse_par, parse_reader, parse_str, StreamParser};
 
 /// One generated trace record. Delays on split calls schedule the
 /// `resumed` line several records later, so pairs regularly land in
@@ -194,8 +198,80 @@ fn materialize(ops: &[TraceOp]) -> String {
     text
 }
 
+/// An event with its symbols resolved, so events from different
+/// interners compare by content.
+type Resolved = (
+    u32,
+    String,
+    u64,
+    u64,
+    String,
+    Option<u64>,
+    Option<u64>,
+    Option<u64>,
+    bool,
+);
+
+fn resolve(events: &[Event], interner: &Interner) -> Vec<Resolved> {
+    events
+        .iter()
+        .map(|e| {
+            (
+                e.pid.0,
+                e.call.name(interner).into_owned(),
+                e.start.0,
+                e.dur.0,
+                interner.resolve(e.path).to_string(),
+                e.size,
+                e.requested,
+                e.offset,
+                e.ok,
+            )
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Streaming ≡ batch: `StreamParser` fed line by line (polled at
+    /// generated points) and `parse_reader` both give `parse_str`'s
+    /// events with symbols resolved, and identical warnings. Polling
+    /// surfaces every event exactly once, and the two streaming paths
+    /// number symbols identically.
+    #[test]
+    fn stream_equals_batch(ops in prop::collection::vec(op_strategy(), 0..120), polls in prop::collection::vec(prop::bool::ANY, 0..160)) {
+        let text = materialize(&ops);
+        let batch_interner = Interner::new();
+        let batch = parse_str(&text, &batch_interner);
+        let want = resolve(&batch.events, &batch_interner);
+
+        let stream_interner = Interner::new_shared();
+        let mut parser = StreamParser::new(Arc::clone(&stream_interner));
+        let mut polled: Vec<Event> = Vec::new();
+        for (i, line) in text.lines().enumerate() {
+            parser.feed_line(line);
+            if polls.get(i).copied().unwrap_or(false) {
+                polled.extend(parser.poll_events().copied());
+            }
+        }
+        polled.extend(parser.poll_events().copied());
+        prop_assert_eq!(polled.len(), parser.events_parsed());
+        let streamed = parser.finish();
+        let mut polled = resolve(&polled, &stream_interner);
+        let mut finished = resolve(&streamed.events, &stream_interner);
+        prop_assert_eq!(&finished, &want, "text:\n{}", text);
+        prop_assert_eq!(&streamed.warnings, &batch.warnings, "text:\n{}", text);
+        polled.sort();
+        finished.sort();
+        prop_assert_eq!(polled, finished);
+
+        let reader_interner = Interner::new();
+        let read = parse_reader(&mut text.as_bytes(), &reader_interner).unwrap();
+        prop_assert_eq!(resolve(&read.events, &reader_interner), want);
+        prop_assert_eq!(&read.warnings, &batch.warnings);
+        prop_assert_eq!(&read.events, &streamed.events);
+    }
 
     /// `parse_par` at any thread count reproduces `parse_str` exactly:
     /// identical event vectors (symbol ids included — both interners

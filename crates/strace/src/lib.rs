@@ -20,16 +20,13 @@
 //!   by start timestamp. [`parser::parse_par`] runs the same assembly as
 //!   a chunked parallel pipeline (split at line boundaries, thread-local
 //!   interning, deterministic merge) with output identical to
-//!   [`parser::parse_str`];
+//!   [`parser::parse_str`], and [`parser::StreamParser`] feeds it one
+//!   line at a time for live ingest;
 //! * [`loader`] — loading a directory of `<cid>_<host>_<rid>.st` files
 //!   into one [`st_model::EventLog`], parallelizing across files and —
 //!   when files are fewer than workers — across chunks within a file;
 //! * [`writer`] — the inverse: emitting events as authentic strace text,
 //!   used by the simulator substrate and by round-trip property tests.
-//!
-//! [`generic`] additionally defines a tool-neutral CSV interchange
-//! format, since "the methodology by itself does not depend on strace"
-//! (Sec. II) — converters from Darshan/Recorder/OTF2 can target it.
 //!
 //! The parser is tolerant by design: unknown syscalls are kept (interned
 //! name), unparsable lines are surfaced as [`Warning`]s instead of
@@ -38,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod generic;
 pub mod loader;
 pub mod parser;
 pub mod record;
@@ -46,7 +42,6 @@ pub mod scan;
 pub mod writer;
 
 pub use error::{StraceError, Warning, WARNING_CAP};
-pub use generic::{from_csv, to_csv, CsvError};
 pub use loader::{load_dir, load_files, LoadOptions};
 pub use parser::{parse_par, parse_reader, parse_str, ParsedTrace, StreamParser};
 pub use record::{Line, ParsedCall, ReturnValue};

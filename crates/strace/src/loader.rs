@@ -24,6 +24,11 @@ use crate::parser::{parse_par, parse_reader, parse_str};
 pub struct LoadOptions {
     /// Worker count; `0` uses the machine's available parallelism and
     /// `1` parses sequentially on the calling thread.
+    ///
+    /// A parallel load holds the same data as a sequential one, but its
+    /// symbol ids (and so the string table of a store written from it)
+    /// can differ: workers intern into the shared [`Interner`]
+    /// concurrently, so first-use order follows thread scheduling.
     pub threads: usize,
     /// Fail on file names that do not follow the `<cid>_<host>_<rid>.st`
     /// convention. When `false`, a fallback identity (cid = file stem,
@@ -285,18 +290,20 @@ mod tests {
     fn sequential_and_parallel_agree() {
         let dir = tmpdir("par");
         write_tmp_traces(&dir);
+        let seq_interner = Interner::new_shared();
         let seq = load_dir(
             &dir,
-            Interner::new_shared(),
+            Arc::clone(&seq_interner),
             &LoadOptions {
                 threads: 1,
                 ..Default::default()
             },
         )
         .unwrap();
+        let par_interner = Interner::new_shared();
         let par = load_dir(
             &dir,
-            Interner::new_shared(),
+            Arc::clone(&par_interner),
             &LoadOptions {
                 threads: 4,
                 ..Default::default()
@@ -311,6 +318,10 @@ mod tests {
             for (x, y) in a.events.iter().zip(&b.events) {
                 assert_eq!(x.start, y.start);
                 assert_eq!(x.size, y.size);
+                // Symbol ids may differ across the two loads; the
+                // strings they name may not.
+                assert_eq!(x.call.name(&seq_interner), y.call.name(&par_interner));
+                assert_eq!(seq_interner.resolve(x.path), par_interner.resolve(y.path));
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();

@@ -3,21 +3,31 @@
 //!
 //! # Architecture
 //!
-//! Three entry points share one borrowed, zero-copy assembly core:
+//! Every entry point is built from one assembly core of two pieces:
+//! `classify`, which turns one line into an event, a warning, a
+//! deferred `<unfinished ...>`/`resumed` record or nothing, and
+//! `Matcher`, which pairs those records FIFO per `(pid, name)` —
+//! strace resumes a pid's calls in emission order. The matcher copies
+//! only an unfinished record's name and arguments, so no line has to
+//! outlive its own parse.
 //!
 //! * [`parse_str`] — sequential single pass over an in-memory trace.
 //! * [`parse_par`] — the chunked parallel pipeline: the input is split
 //!   at line boundaries into one byte-range chunk per worker; each
-//!   worker parses its chunk into a local event vector (complete calls
-//!   only — `<unfinished ...>`/`resumed` records are deferred), interning
-//!   into a thread-local [`LocalInterner`] so the shared interner's lock
-//!   is never touched from a worker. A sequential merge then replays the
-//!   deferred records across chunk boundaries (FIFO per `(pid, name)`,
-//!   exactly like the sequential path), publishes every thread-local
-//!   string table through a single [`Interner::intern_many`] batch, and
-//!   k-way merges the per-chunk event runs by `(start, line)`.
-//! * [`parse_reader`] — line-at-a-time constant-memory fallback for
-//!   streaming sources.
+//!   worker classifies its chunk into a local event vector (complete
+//!   calls only — `<unfinished ...>`/`resumed` records are deferred),
+//!   interning into a thread-local [`LocalInterner`] so the shared
+//!   interner's lock is never touched from a worker. A sequential merge
+//!   then replays the deferred records through the matcher across chunk
+//!   boundaries (exactly like the sequential path), publishes every
+//!   thread-local string table through a single
+//!   [`Interner::intern_many`] batch, and k-way merges the per-chunk
+//!   event runs by `(start, line)`.
+//! * [`StreamParser`] — push API for live ingest: each line is
+//!   classified and matched as it arrives, so events surface as they
+//!   complete.
+//! * [`parse_reader`] — line-at-a-time constant-memory loop over the
+//!   same streaming assembly, for sources read from disk.
 //!
 //! # Determinism
 //!
@@ -34,10 +44,9 @@
 //!    unfinished/resumed calls in resumption order) — the same order in
 //!    which the sequential pass interns them.
 //!
-//! Unfinished-call state is zero-copy: pending records borrow argument
-//! slices from the input text instead of allocating `String`s, and
-//! matching is keyed by `(pid, name)` with FIFO queues (O(1) per record
-//! instead of the former O(outstanding) scan).
+//! The streaming paths give the same events and warnings; only their
+//! symbol numbering can differ, because they intern a merged call at
+//! its resumption line (see [`parse_reader`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::BufRead;
@@ -46,7 +55,7 @@ use std::sync::Arc;
 use st_model::{Event, Interner, LocalInterner, Micros, Pid, Symbol, Syscall};
 
 use crate::error::{Warning, WARNING_CAP};
-use crate::record::{parse_line, Line, ParsedCall, ReturnValue};
+use crate::record::{parse_line, Line, ParsedCall};
 use crate::scan;
 
 /// The result of parsing one trace file.
@@ -80,63 +89,164 @@ impl Intern for LocalInterner {
     }
 }
 
-/// An `<unfinished ...>` record waiting for its `resumed` counterpart,
-/// borrowing its argument slices from the input text.
-#[derive(Debug)]
-struct Pending<'a> {
+/// What one trace line contributes to the assembly.
+enum Step<'a> {
+    /// Nothing: blank, signal-stop and exit lines, and unfinished
+    /// records the matcher holds.
+    Skip,
+    /// A complete (or merged) call.
+    Event(Event),
+    /// An unparsable, interrupted or orphaned record.
+    Warning(Warning),
+    /// An `<unfinished ...>` or `resumed` record, for the [`Matcher`].
+    Async(Line<'a>),
+}
+
+/// Classifies line `lineno`: the per-line step every parse path shares.
+fn classify<'a, I: Intern>(lineno: usize, line: &'a str, sink: &mut I) -> Step<'a> {
+    match parse_line(line) {
+        Some(Line::Empty | Line::Signal | Line::Exit { .. }) => Step::Skip,
+        Some(Line::Restarted) => Step::Warning(Warning::Restarted { line: lineno }),
+        Some(line @ (Line::Unfinished { .. } | Line::Resumed { .. })) => Step::Async(line),
+        Some(Line::Call(call)) => Step::Event(call_to_event(&call, sink)),
+        None => Step::Warning(Warning::UnparsableLine {
+            line: lineno,
+            text: truncate(line, 160),
+        }),
+    }
+}
+
+/// An `<unfinished ...>` call held until its `resumed` record.
+struct Pending {
     start: Micros,
-    args: Vec<&'a str>,
-    /// Insertion order, for deterministic never-resumed reporting.
+    args: Vec<String>,
+    /// Arrival order, for deterministic never-resumed reporting.
     seq: usize,
 }
 
-/// A deferred unfinished/resumed record, replayed in order by the merge
-/// phase (possibly across chunk boundaries).
-#[derive(Debug)]
-enum AsyncRecord<'a> {
-    Unfinished {
-        pid_key: u32,
-        start: Micros,
-        name: &'a str,
-        args: Vec<&'a str>,
-    },
-    Resumed {
-        line: usize,
-        pid: Option<u32>,
-        name: &'a str,
-        args: Vec<&'a str>,
-        ret: ReturnValue<'a>,
-        dur: Option<Micros>,
-    },
+/// Pairs `<unfinished ...>`/`resumed` records FIFO per `(pid, name)`.
+#[derive(Default)]
+struct Matcher {
+    pending: HashMap<u32, HashMap<String, VecDeque<Pending>>>,
+    seq: usize,
 }
 
-/// One chunk's parse output. Lines are chunk-local (1-based) until the
-/// caller applies the chunk's global line offset.
-struct ChunkParse<'a> {
-    /// Complete-call events, in line order, tagged with their line.
+impl Matcher {
+    /// Holds an unfinished record, or merges a resumed one (at `line`)
+    /// with the oldest held call of its `(pid, name)`. A resumed record
+    /// with nothing held is an orphan.
+    fn feed<I: Intern>(&mut self, line: usize, record: &Line<'_>, sink: &mut I) -> Step<'static> {
+        match record {
+            Line::Unfinished {
+                pid,
+                start,
+                name,
+                args,
+            } => {
+                self.pending
+                    .entry(pid.unwrap_or(0))
+                    .or_default()
+                    .entry(name.to_string())
+                    .or_default()
+                    .push_back(Pending {
+                        start: *start,
+                        args: args.iter().map(|a| a.to_string()).collect(),
+                        seq: self.seq,
+                    });
+                self.seq += 1;
+                Step::Skip
+            }
+            Line::Resumed {
+                pid,
+                name,
+                args,
+                ret,
+                dur,
+                ..
+            } => {
+                let pid_key = pid.unwrap_or(0);
+                let held = self
+                    .pending
+                    .get_mut(&pid_key)
+                    .and_then(|by_name| by_name.get_mut(*name))
+                    .and_then(VecDeque::pop_front);
+                let Some(p) = held else {
+                    return Step::Warning(Warning::OrphanResumed { line, pid: pid_key });
+                };
+                // Merge: prefix args from the unfinished record, suffix
+                // args plus return info from the resumed one (Sec. III:
+                // duration and transfer size live on the resumed record).
+                let mut merged: Vec<&str> = p.args.iter().map(String::as_str).collect();
+                merged.extend(args);
+                let call = ParsedCall {
+                    pid: *pid,
+                    start: p.start,
+                    name,
+                    args: merged,
+                    ret: *ret,
+                    dur: *dur,
+                };
+                Step::Event(call_to_event(&call, sink))
+            }
+            _ => unreachable!("the matcher takes unfinished/resumed records only"),
+        }
+    }
+
+    /// Never-resumed warnings for the calls still held, in arrival
+    /// order.
+    fn finish(self) -> Vec<Warning> {
+        let mut held: Vec<(usize, u32, String)> = Vec::new();
+        for (pid, by_name) in self.pending {
+            for (call, queue) in by_name {
+                held.extend(queue.iter().map(|p| (p.seq, pid, call.clone())));
+            }
+        }
+        held.sort_unstable_by_key(|(seq, _, _)| *seq);
+        held.into_iter()
+            .map(|(_, pid, call)| Warning::NeverResumed { pid, call })
+            .collect()
+    }
+}
+
+/// Events tagged with their completing line, plus warnings in line
+/// order capped at [`WARNING_CAP`] exemplars.
+#[derive(Default)]
+struct Collected {
     events: Vec<(usize, Event)>,
-    /// Warnings raised inside the chunk, in line order (lines local),
-    /// capped at [`WARNING_CAP`] exemplars.
     warnings: Vec<Warning>,
     /// Warnings raised beyond the cap and dropped. A non-strace input
     /// raises one warning per line; retaining them all is an OOM
-    /// hazard, and the first [`WARNING_CAP`] per chunk are provably a
-    /// superset of whatever the final global truncation keeps.
+    /// hazard. Callers push in line order, so the retained prefix is
+    /// the `WARNING_CAP` lowest-line warnings, a superset of whatever
+    /// [`finalize_warnings`] keeps.
     suppressed: usize,
-    /// Deferred unfinished/resumed records, in line order.
-    asyncs: Vec<AsyncRecord<'a>>,
-    /// Number of lines in the chunk.
-    line_count: usize,
 }
 
-/// Appends `w`, or counts it as suppressed once the exemplar cap is
-/// reached. Callers push in line order, so the retained prefix is the
-/// `WARNING_CAP` lowest-line warnings of the stream.
-fn push_capped(warnings: &mut Vec<Warning>, suppressed: &mut usize, w: Warning) {
-    if warnings.len() < WARNING_CAP {
-        warnings.push(w);
-    } else {
-        *suppressed += 1;
+impl Collected {
+    fn push(&mut self, line: usize, step: Step<'_>) {
+        match step {
+            Step::Skip => {}
+            Step::Event(ev) => self.events.push((line, ev)),
+            Step::Warning(w) => self.warn(w),
+            Step::Async(_) => unreachable!("async records go to the matcher"),
+        }
+    }
+
+    fn warn(&mut self, w: Warning) {
+        if self.warnings.len() < WARNING_CAP {
+            self.warnings.push(w);
+        } else {
+            self.suppressed += 1;
+        }
+    }
+
+    /// Sorts the events by `(start, line)` and finalizes the warnings.
+    fn finish(mut self) -> ParsedTrace {
+        self.events.sort_unstable_by_key(event_order);
+        ParsedTrace {
+            events: self.events.into_iter().map(|(_, e)| e).collect(),
+            warnings: finalize_warnings(self.warnings, self.suppressed),
+        }
     }
 }
 
@@ -155,161 +265,55 @@ fn finalize_warnings(mut warnings: Vec<Warning>, mut suppressed: usize) -> Vec<W
     warnings
 }
 
-/// Parses every line of `chunk`, deferring unfinished/resumed records.
+/// One chunk's parse output. Lines are chunk-local (1-based) until the
+/// caller applies the chunk's global line offset.
+struct ChunkParse<'a> {
+    /// Complete-call events and warnings, in line order.
+    collected: Collected,
+    /// Deferred unfinished/resumed records, in line order.
+    asyncs: Vec<(usize, Line<'a>)>,
+    /// Number of lines in the chunk.
+    line_count: usize,
+}
+
+/// Classifies every line of `chunk`, deferring unfinished/resumed
+/// records.
 fn parse_chunk<'a, I: Intern>(chunk: &'a str, sink: &mut I) -> ChunkParse<'a> {
     let mut out = ChunkParse {
-        events: Vec::new(),
-        warnings: Vec::new(),
-        suppressed: 0,
+        collected: Collected::default(),
         asyncs: Vec::new(),
         line_count: 0,
     };
     for (idx, line) in chunk.lines().enumerate() {
         let lineno = idx + 1;
         out.line_count = lineno;
-        match parse_line(line) {
-            Some(Line::Empty) | Some(Line::Signal) | Some(Line::Exit { .. }) => {}
-            Some(Line::Restarted) => {
-                push_capped(
-                    &mut out.warnings,
-                    &mut out.suppressed,
-                    Warning::Restarted { line: lineno },
-                );
-            }
-            Some(Line::Unfinished {
-                pid,
-                start,
-                name,
-                args,
-            }) => {
-                out.asyncs.push(AsyncRecord::Unfinished {
-                    pid_key: pid.unwrap_or(0),
-                    start,
-                    name,
-                    args,
-                });
-            }
-            Some(Line::Resumed {
-                pid,
-                name,
-                args,
-                ret,
-                dur,
-                ..
-            }) => {
-                out.asyncs.push(AsyncRecord::Resumed {
-                    line: lineno,
-                    pid,
-                    name,
-                    args,
-                    ret,
-                    dur,
-                });
-            }
-            Some(Line::Call(call)) => {
-                if let Some(ev) = call_to_event(&call, sink) {
-                    out.events.push((lineno, ev));
-                }
-            }
-            None => push_capped(
-                &mut out.warnings,
-                &mut out.suppressed,
-                Warning::UnparsableLine {
-                    line: lineno,
-                    text: truncate(line, 160),
-                },
-            ),
+        match classify(lineno, line, sink) {
+            Step::Async(record) => out.asyncs.push((lineno, record)),
+            step => out.collected.push(lineno, step),
         }
     }
     out
 }
 
-/// Replays deferred records (in global order) against the keyed FIFO
-/// pending table, producing merged events and orphan/never-resumed
-/// warnings. `offsets[i]` is the line offset of chunk `i`.
-fn merge_asyncs<'a, I: Intern>(
-    chunks: &[ChunkParse<'a>],
+/// Replays the chunks' deferred records, in global order, through one
+/// matcher. `offsets[i]` is the line offset of chunk `i`.
+fn merge_asyncs<I: Intern>(
+    chunks: &[ChunkParse<'_>],
     offsets: &[usize],
     sink: &mut I,
-) -> (Vec<(usize, Event)>, Vec<Warning>) {
-    let mut pending: HashMap<(u32, &'a str), VecDeque<Pending<'a>>> = HashMap::new();
-    let mut seq = 0usize;
-    let mut events = Vec::new();
-    let mut warnings = Vec::new();
+) -> Collected {
+    let mut matcher = Matcher::default();
+    let mut out = Collected::default();
     for (chunk, &offset) in chunks.iter().zip(offsets) {
-        for record in &chunk.asyncs {
-            match record {
-                AsyncRecord::Unfinished {
-                    pid_key,
-                    start,
-                    name,
-                    args,
-                } => {
-                    pending
-                        .entry((*pid_key, name))
-                        .or_default()
-                        .push_back(Pending {
-                            start: *start,
-                            args: args.clone(),
-                            seq,
-                        });
-                    seq += 1;
-                }
-                AsyncRecord::Resumed {
-                    line,
-                    pid,
-                    name,
-                    args,
-                    ret,
-                    dur,
-                } => {
-                    let pid_key = pid.unwrap_or(0);
-                    let matched = pending
-                        .get_mut(&(pid_key, name))
-                        .and_then(|queue| queue.pop_front());
-                    match matched {
-                        Some(p) => {
-                            // Merge: prefix args from the unfinished
-                            // record, suffix args plus return info from
-                            // the resumed one (Sec. III: duration and
-                            // transfer size live on the resumed record).
-                            let mut merged = p.args;
-                            merged.extend(args.iter().copied());
-                            let call = ParsedCall {
-                                pid: *pid,
-                                start: p.start,
-                                name,
-                                args: merged,
-                                ret: *ret,
-                                dur: *dur,
-                            };
-                            if let Some(ev) = call_to_event(&call, sink) {
-                                events.push((offset + line, ev));
-                            }
-                        }
-                        None => warnings.push(Warning::OrphanResumed {
-                            line: offset + line,
-                            pid: pid_key,
-                        }),
-                    }
-                }
-            }
+        for (line, record) in &chunk.asyncs {
+            let step = matcher.feed(offset + line, record, sink);
+            out.push(offset + line, step);
         }
     }
-    // Outstanding unfinished calls never resumed before EOF, in
-    // insertion order.
-    let mut leftovers: Vec<(usize, u32, &str)> = pending
-        .into_iter()
-        .flat_map(|((pid, name), queue)| queue.into_iter().map(move |p| (p.seq, pid, name)))
-        .collect();
-    leftovers.sort_unstable_by_key(|(seq, _, _)| *seq);
-    for (_, pid, name) in leftovers {
-        warnings.push(Warning::NeverResumed {
-            pid,
-            call: name.to_string(),
-        });
+    for w in matcher.finish() {
+        out.warn(w);
     }
-    (events, warnings)
+    out
 }
 
 /// The sort key reproducing the sequential path's stable sort by start:
@@ -360,25 +364,17 @@ pub fn parse_str(text: &str, interner: &Interner) -> ParsedTrace {
     let _span = st_obs::span!("strace.parse", bytes = text.len());
     let symbols_before = interner.len();
     let mut sink = SharedIntern(interner);
-    let chunk = parse_chunk(text, &mut sink);
-    let offsets = [0usize];
-    let chunks = [chunk];
-    let (merged, async_warnings) = merge_asyncs(&chunks, &offsets, &mut sink);
-    let [chunk] = chunks;
+    let chunks = [parse_chunk(text, &mut sink)];
+    let merged = merge_asyncs(&chunks, &[0], &mut sink);
+    let [ChunkParse { mut collected, .. }] = chunks;
+    collected.events.extend(merged.events);
+    collected.warnings.extend(merged.warnings);
+    collected.suppressed += merged.suppressed;
+    let parsed = collected.finish();
 
-    let mut events: Vec<(usize, Event)> = chunk.events;
-    events.extend(merged);
-    events.sort_unstable_by_key(event_order);
-
-    let mut warnings = chunk.warnings;
-    warnings.extend(async_warnings);
-
-    st_obs::add("events_parsed", events.len() as u64);
+    st_obs::add("events_parsed", parsed.events.len() as u64);
     st_obs::add("symbols_interned", (interner.len() - symbols_before) as u64);
-    ParsedTrace {
-        events: events.into_iter().map(|(_, e)| e).collect(),
-        warnings: finalize_warnings(warnings, chunk.suppressed),
-    }
+    parsed
 }
 
 /// Splits `text` into `n` byte-range chunks cut at line boundaries.
@@ -505,8 +501,9 @@ pub fn parse_par(text: &str, interner: &Interner, threads: usize) -> ParsedTrace
                     let mut local = LocalInterner::new();
                     let parsed = parse_chunk(chunk, &mut local);
                     // Pre-sorted run for the final k-way merge.
-                    let mut order: Vec<usize> = (0..parsed.events.len()).collect();
-                    order.sort_unstable_by_key(|&i| event_order(&parsed.events[i]));
+                    let events = &parsed.collected.events;
+                    let mut order: Vec<usize> = (0..events.len()).collect();
+                    order.sort_unstable_by_key(|&i| event_order(&events[i]));
                     (parsed, local, order)
                 })
             })
@@ -540,8 +537,7 @@ pub fn parse_par(text: &str, interner: &Interner, threads: usize) -> ParsedTrace
     // Reduce 1: replay deferred unfinished/resumed records across chunk
     // boundaries (FIFO per (pid, name), global order).
     let mut merge_local = LocalInterner::new();
-    let (mut merged_events, async_warnings) =
-        merge_asyncs(&chunk_parses, &offsets, &mut merge_local);
+    let mut merged = merge_asyncs(&chunk_parses, &offsets, &mut merge_local);
 
     // Reduce 2: publish thread-local string tables to the shared
     // interner in canonical first-use order, with one batched
@@ -552,7 +548,7 @@ pub fn parse_par(text: &str, interner: &Interner, threads: usize) -> ParsedTrace
     let mut cache: Vec<Option<u32>> = Vec::new();
     for (chunk, local) in chunk_parses.iter_mut().zip(&locals) {
         collect_candidates(
-            &mut chunk.events,
+            &mut chunk.collected.events,
             local,
             &mut cache,
             &mut dedup,
@@ -560,7 +556,7 @@ pub fn parse_par(text: &str, interner: &Interner, threads: usize) -> ParsedTrace
         );
     }
     collect_candidates(
-        &mut merged_events,
+        &mut merged.events,
         &merge_local,
         &mut cache,
         &mut dedup,
@@ -569,25 +565,25 @@ pub fn parse_par(text: &str, interner: &Interner, threads: usize) -> ParsedTrace
     let shared = interner.intern_many(&candidates);
     st_obs::add("symbols_interned", shared.len() as u64);
     for chunk in chunk_parses.iter_mut() {
-        apply_symbols(&mut chunk.events, &shared);
+        apply_symbols(&mut chunk.collected.events, &shared);
     }
-    apply_symbols(&mut merged_events, &shared);
+    apply_symbols(&mut merged.events, &shared);
     drop(intern_span);
 
     // Reduce 3: k-way merge the pre-sorted per-chunk runs (plus the
     // merged-event run) by (start, global line).
-    merged_events.sort_unstable_by_key(event_order);
+    merged.events.sort_unstable_by_key(event_order);
     let mut runs: Vec<Box<dyn Iterator<Item = (Micros, usize, Event)>>> = Vec::new();
     for ((chunk, order), &offset) in chunk_parses.iter().zip(&orders).zip(&offsets) {
         runs.push(Box::new(order.iter().map(move |&i| {
-            let (line, ev) = &chunk.events[i];
+            let (line, ev) = &chunk.collected.events[i];
             (ev.start, offset + line, *ev)
         })));
     }
     runs.push(Box::new(
-        merged_events.iter().map(|&(line, ev)| (ev.start, line, ev)),
+        merged.events.iter().map(|&(line, ev)| (ev.start, line, ev)),
     ));
-    let events = kway_merge(runs, total_events(&chunk_parses) + merged_events.len());
+    let events = kway_merge(runs, total_events(&chunk_parses) + merged.events.len());
 
     // Warnings: per-chunk warnings shifted to global lines, orphan /
     // never-resumed warnings from the merge, ordered by line. Any
@@ -596,12 +592,18 @@ pub fn parse_par(text: &str, interner: &Interner, threads: usize) -> ParsedTrace
     // the global truncation would keep and the output matches
     // `parse_str` exactly.
     let mut warnings = Vec::new();
-    let mut suppressed = 0usize;
+    let mut suppressed = merged.suppressed;
     for (chunk, &offset) in chunk_parses.iter_mut().zip(&offsets) {
-        warnings.extend(chunk.warnings.drain(..).map(|w| shift_warning(w, offset)));
-        suppressed += chunk.suppressed;
+        let collected = &mut chunk.collected;
+        warnings.extend(
+            collected
+                .warnings
+                .drain(..)
+                .map(|w| shift_warning(w, offset)),
+        );
+        suppressed += collected.suppressed;
     }
-    warnings.extend(async_warnings);
+    warnings.extend(merged.warnings);
 
     st_obs::add("events_parsed", events.len() as u64);
     ParsedTrace {
@@ -611,7 +613,7 @@ pub fn parse_par(text: &str, interner: &Interner, threads: usize) -> ParsedTrace
 }
 
 fn total_events(chunks: &[ChunkParse<'_>]) -> usize {
-    chunks.iter().map(|c| c.events.len()).sum()
+    chunks.iter().map(|c| c.collected.events.len()).sum()
 }
 
 /// Merges pre-sorted `(start, line, event)` runs into one event vector.
@@ -663,22 +665,63 @@ pub fn parse_reader<R: BufRead>(
     interner: &Interner,
 ) -> std::io::Result<ParsedTrace> {
     let _span = st_obs::span!("strace.parse.stream");
-    let symbols_before = interner.len();
-    let mut state = ReaderState::default();
+    let mut assembler = LineAssembler::new(interner);
     let mut buf = String::new();
-    let mut lineno = 0usize;
     loop {
         buf.clear();
         if reader.read_line(&mut buf)? == 0 {
             break;
         }
-        lineno += 1;
-        state.feed(lineno, buf.trim_end_matches(['\n', '\r']), interner);
+        assembler.feed(&buf, interner);
     }
-    let parsed = state.finish();
-    st_obs::add("events_parsed", parsed.events.len() as u64);
-    st_obs::add("symbols_interned", (interner.len() - symbols_before) as u64);
-    Ok(parsed)
+    Ok(assembler.finish(interner))
+}
+
+/// The streaming assembly behind [`StreamParser`] and [`parse_reader`]:
+/// each line is classified and matched as it arrives.
+struct LineAssembler {
+    collected: Collected,
+    matcher: Matcher,
+    lineno: usize,
+    symbols_before: usize,
+}
+
+impl LineAssembler {
+    fn new(interner: &Interner) -> LineAssembler {
+        LineAssembler {
+            collected: Collected::default(),
+            matcher: Matcher::default(),
+            lineno: 0,
+            symbols_before: interner.len(),
+        }
+    }
+
+    fn feed(&mut self, line: &str, interner: &Interner) {
+        self.lineno += 1;
+        let mut sink = SharedIntern(interner);
+        let line = line.trim_end_matches(['\n', '\r']);
+        let step = match classify(self.lineno, line, &mut sink) {
+            Step::Async(record) => self.matcher.feed(self.lineno, &record, &mut sink),
+            step => step,
+        };
+        self.collected.push(self.lineno, step);
+    }
+
+    /// Drains never-resumed calls into warnings and returns the
+    /// start-sorted trace: strace emits records in completion order, and
+    /// merged calls re-enter at their *start* time.
+    fn finish(mut self, interner: &Interner) -> ParsedTrace {
+        for w in self.matcher.finish() {
+            self.collected.warn(w);
+        }
+        let parsed = self.collected.finish();
+        st_obs::add("events_parsed", parsed.events.len() as u64);
+        st_obs::add(
+            "symbols_interned",
+            (interner.len() - self.symbols_before) as u64,
+        );
+        parsed
+    }
 }
 
 /// Incremental line-at-a-time parser for live ingest.
@@ -686,9 +729,9 @@ pub fn parse_reader<R: BufRead>(
 /// [`parse_reader`] owns its input loop; a long-running service does
 /// not — lines arrive on sockets, interleaved across connections, and
 /// the parser must hand back events *as they complete* so a live DFG
-/// can grow between lines. `StreamParser` exposes the same assembly
-/// state machine as [`parse_reader`] (unfinished/resumed merging,
-/// capped warnings, final start-sort) behind a push API:
+/// can grow between lines. `StreamParser` runs the streaming assembly
+/// of [`parse_reader`] (unfinished/resumed merging, capped warnings,
+/// final start-sort) behind a push API:
 ///
 /// ```
 /// # use std::sync::Arc;
@@ -708,213 +751,60 @@ pub fn parse_reader<R: BufRead>(
 /// [`ParsedTrace`] matches [`parse_reader`] over the same lines.
 pub struct StreamParser {
     interner: Arc<Interner>,
-    state: ReaderState,
-    lineno: usize,
+    assembler: LineAssembler,
     polled: usize,
-    symbols_before: usize,
 }
 
 impl StreamParser {
     /// Starts a parser that interns symbols into `interner`.
     pub fn new(interner: Arc<Interner>) -> StreamParser {
-        let symbols_before = interner.len();
+        let assembler = LineAssembler::new(&interner);
         StreamParser {
             interner,
-            state: ReaderState::default(),
-            lineno: 0,
+            assembler,
             polled: 0,
-            symbols_before,
         }
     }
 
     /// Feeds one trace line (trailing `\n`/`\r` are stripped; line
     /// numbers for warnings count from 1 in feed order).
     pub fn feed_line(&mut self, line: &str) {
-        self.lineno += 1;
-        self.state.feed(
-            self.lineno,
-            line.trim_end_matches(['\n', '\r']),
-            &self.interner,
-        );
+        self.assembler.feed(line, &self.interner);
     }
 
     /// Iterates over events completed since the previous poll, in
     /// completion order. Purely observational — `finish()` returns the
     /// full sorted trace regardless of polling.
     pub fn poll_events(&mut self) -> impl Iterator<Item = &Event> {
-        let from = self.polled;
-        self.polled = self.state.events.len();
-        self.state.events[from..].iter().map(|(_, e)| e)
+        let events = &self.assembler.collected.events;
+        let from = std::mem::replace(&mut self.polled, events.len());
+        events[from..].iter().map(|(_, e)| e)
     }
 
     /// Lines fed so far.
     pub fn lines_fed(&self) -> usize {
-        self.lineno
+        self.assembler.lineno
     }
 
     /// Events completed so far (polled or not).
     pub fn events_parsed(&self) -> usize {
-        self.state.events.len()
+        self.assembler.collected.events.len()
     }
 
     /// Ends the stream: drains never-resumed calls into warnings and
     /// returns the start-sorted trace, identical to [`parse_reader`]
     /// over the same lines and interner.
     pub fn finish(self) -> ParsedTrace {
-        let parsed = self.state.finish();
-        st_obs::add("events_parsed", parsed.events.len() as u64);
-        st_obs::add(
-            "symbols_interned",
-            (self.interner.len() - self.symbols_before) as u64,
-        );
-        parsed
+        self.assembler.finish(&self.interner)
     }
 }
 
 impl std::fmt::Debug for StreamParser {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamParser")
-            .field("lines_fed", &self.lineno)
-            .field("events_parsed", &self.state.events.len())
+            .field("lines_fed", &self.lines_fed())
+            .field("events_parsed", &self.events_parsed())
             .finish_non_exhaustive()
-    }
-}
-
-/// Owned pending record for the streaming reader path (lines do not
-/// outlive the read buffer, so argument slices must be copied).
-#[derive(Debug)]
-struct OwnedPending {
-    start: Micros,
-    args: Vec<String>,
-    seq: usize,
-}
-
-#[derive(Default)]
-struct ReaderState {
-    events: Vec<(usize, Event)>,
-    /// Warnings in line order, capped at [`WARNING_CAP`] exemplars —
-    /// the stream arrives pre-sorted, so the cap keeps exactly what
-    /// the batch paths' sort-then-truncate would keep.
-    warnings: Vec<Warning>,
-    /// Warnings dropped beyond the cap.
-    suppressed: usize,
-    /// Outstanding unfinished calls, keyed by `(pid, name)` with FIFO
-    /// queues — strace resumes a pid's calls in emission order.
-    pending: HashMap<(u32, String), VecDeque<OwnedPending>>,
-    seq: usize,
-}
-
-impl ReaderState {
-    fn feed(&mut self, lineno: usize, line: &str, interner: &Interner) {
-        let mut sink = SharedIntern(interner);
-        match parse_line(line) {
-            Some(Line::Empty) | Some(Line::Signal) | Some(Line::Exit { .. }) => {}
-            Some(Line::Restarted) => {
-                push_capped(
-                    &mut self.warnings,
-                    &mut self.suppressed,
-                    Warning::Restarted { line: lineno },
-                );
-            }
-            Some(Line::Unfinished {
-                pid,
-                start,
-                name,
-                args,
-            }) => {
-                self.pending
-                    .entry((pid.unwrap_or(0), name.to_string()))
-                    .or_default()
-                    .push_back(OwnedPending {
-                        start,
-                        args: args.iter().map(|s| s.to_string()).collect(),
-                        seq: self.seq,
-                    });
-                self.seq += 1;
-            }
-            Some(Line::Resumed {
-                pid,
-                name,
-                args,
-                ret,
-                dur,
-                ..
-            }) => {
-                let pid_key = pid.unwrap_or(0);
-                let matched = self
-                    .pending
-                    .get_mut(&(pid_key, name.to_string()))
-                    .and_then(|queue| queue.pop_front());
-                match matched {
-                    Some(p) => {
-                        let mut merged: Vec<&str> = p.args.iter().map(|s| s.as_str()).collect();
-                        merged.extend(args.iter().copied());
-                        let call = ParsedCall {
-                            pid,
-                            start: p.start,
-                            name,
-                            args: merged,
-                            ret,
-                            dur,
-                        };
-                        if let Some(ev) = call_to_event(&call, &mut sink) {
-                            self.events.push((lineno, ev));
-                        }
-                    }
-                    None => push_capped(
-                        &mut self.warnings,
-                        &mut self.suppressed,
-                        Warning::OrphanResumed {
-                            line: lineno,
-                            pid: pid_key,
-                        },
-                    ),
-                }
-            }
-            Some(Line::Call(call)) => {
-                if let Some(ev) = call_to_event(&call, &mut sink) {
-                    self.events.push((lineno, ev));
-                }
-            }
-            None => push_capped(
-                &mut self.warnings,
-                &mut self.suppressed,
-                Warning::UnparsableLine {
-                    line: lineno,
-                    text: truncate(line, 160),
-                },
-            ),
-        }
-    }
-
-    fn finish(mut self) -> ParsedTrace {
-        let mut leftovers: Vec<(usize, u32, String)> = self
-            .pending
-            .drain()
-            .flat_map(|((pid, name), queue)| {
-                queue.into_iter().map(move |p| (p.seq, pid, name.clone()))
-            })
-            .collect();
-        leftovers.sort_unstable_by_key(|(seq, _, _)| *seq);
-        for (_, pid, call) in leftovers {
-            push_capped(
-                &mut self.warnings,
-                &mut self.suppressed,
-                Warning::NeverResumed { pid, call },
-            );
-        }
-        if self.suppressed > 0 {
-            self.warnings.push(Warning::Suppressed {
-                count: self.suppressed,
-            });
-        }
-        // strace emits records in completion order; merged unfinished
-        // records re-enter at their *start* time, so re-sort.
-        self.events.sort_unstable_by_key(event_order);
-        ParsedTrace {
-            events: self.events.into_iter().map(|(_, e)| e).collect(),
-            warnings: self.warnings,
-        }
     }
 }
 
@@ -932,10 +822,9 @@ fn truncate(s: &str, max: usize) -> String {
 
 /// Converts a complete (or merged) call record into an [`Event`].
 ///
-/// Returns `None` only for records that carry no usable timestamp
-/// semantics (currently never — unknown calls are kept with interned
-/// names so arbitrary `-e` selections survive).
-fn call_to_event<I: Intern>(call: &ParsedCall<'_>, sink: &mut I) -> Option<Event> {
+/// Unknown calls are kept with interned names, so arbitrary `-e`
+/// selections survive.
+fn call_to_event<I: Intern>(call: &ParsedCall<'_>, sink: &mut I) -> Event {
     let syscall = Syscall::from_known_name(call.name)
         .unwrap_or_else(|| Syscall::Other(sink.intern_str(call.name)));
     let ok = !call.ret.is_error();
@@ -1011,7 +900,7 @@ fn call_to_event<I: Intern>(call: &ParsedCall<'_>, sink: &mut I) -> Option<Event
     event.requested = requested;
     event.offset = offset;
     event.ok = ok;
-    Some(event)
+    event
 }
 
 #[cfg(test)]

@@ -162,11 +162,6 @@ pub fn parse_line(line: &str) -> Option<Line<'_>> {
     let start = Micros::parse_time_of_day(ts_tok)?;
     rest = rest[rest.find(ts_tok).unwrap() + ts_tok.len()..].trim_start();
 
-    // The Sec. III rule: interrupted calls carry ERESTARTSYS; ignore them.
-    if rest.contains("ERESTARTSYS") {
-        return Some(Line::Restarted);
-    }
-
     if let Some(exit) = rest.strip_prefix("+++") {
         let code = exit
             .trim()
@@ -188,7 +183,10 @@ pub fn parse_line(line: &str) -> Option<Line<'_>> {
         // mid-args (", 405) = 404 <0.000223>") or at the closing paren.
         let scanned = scan_continuation(tail)?;
         let after = &tail[scanned.after..];
-        let (ret, dur) = parse_return(after)?;
+        let (ret, errno, dur) = parse_return(after)?;
+        if errno == Some(RESTARTED) {
+            return Some(Line::Restarted);
+        }
         return Some(Line::Resumed {
             pid,
             time: start,
@@ -219,7 +217,10 @@ pub fn parse_line(line: &str) -> Option<Line<'_>> {
         });
     }
     let after = &rest[scanned.after..];
-    let (ret, dur) = parse_return(after)?;
+    let (ret, errno, dur) = parse_return(after)?;
+    if errno == Some(RESTARTED) {
+        return Some(Line::Restarted);
+    }
     Some(Line::Call(ParsedCall {
         pid,
         start,
@@ -238,8 +239,14 @@ fn scan_continuation(tail: &str) -> Option<ScannedArgs<'_>> {
     scan::split_args(tail, 0)
 }
 
-/// Parses the `= ret [<dur>]` tail after the closing parenthesis.
-fn parse_return(s: &str) -> Option<(ReturnValue<'_>, Option<Micros>)> {
+/// The errno of an interrupted call; the Sec. III rule ignores such
+/// records.
+const RESTARTED: &str = "ERESTARTSYS";
+
+/// Parses the `= ret [ERRNO (message)] [<dur>]` tail after the closing
+/// parenthesis. The errno token is returned on its own as well, because
+/// a `?` return has no numeric value to carry it.
+fn parse_return(s: &str) -> Option<(ReturnValue<'_>, Option<&str>, Option<Micros>)> {
     let s = s.trim_start();
     let s = s.strip_prefix('=')?;
     let s = s.trim_start();
@@ -284,12 +291,14 @@ fn parse_return(s: &str) -> Option<(ReturnValue<'_>, Option<Micros>)> {
 
     // Optional errno symbol + message: `ENOENT (No such file or directory)`.
     let mut ret = ret;
+    let mut errno = None;
     if rest.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
         let end = rest
             .bytes()
             .position(|b| !(b.is_ascii_uppercase() || b.is_ascii_digit()))
             .unwrap_or(rest.len());
         let name = &rest[..end];
+        errno = Some(name);
         if let Some(code) = ret.value() {
             ret = ReturnValue::Error { code, name };
         }
@@ -308,7 +317,7 @@ fn parse_return(s: &str) -> Option<(ReturnValue<'_>, Option<Micros>)> {
         None
     };
 
-    Some((ret, dur))
+    Some((ret, errno, dur))
 }
 
 #[cfg(test)]
@@ -449,6 +458,25 @@ mod tests {
     fn erestartsys_is_flagged() {
         let line = "9054 08:55:54.100000 read(3</x>, \"\", 10) = ? ERESTARTSYS (To be restarted if SA_RESTART is set) <0.5>";
         assert_eq!(parse_line(line).unwrap(), Line::Restarted);
+    }
+
+    #[test]
+    fn erestartsys_counts_only_in_the_errno_position() {
+        // A plain and a resumed record carrying the errno are dropped.
+        for line in [
+            "9 08:00:00.000001 read(3</x>, \"\", 10) = ? ERESTARTSYS (To be restarted)",
+            "9 08:00:00.000002 <... read resumed> \"\", 10) = ? ERESTARTSYS (To be restarted) <0.000004>",
+        ] {
+            assert_eq!(parse_line(line).unwrap(), Line::Restarted, "{line}");
+        }
+        // A path that merely contains the keyword is an ordinary call.
+        let line = "9 08:00:00.000003 read(3</tmp/ERESTARTSYS.log>, \"\", 10) = 0 <0.000001>";
+        match parse_line(line).unwrap() {
+            Line::Call(c) => assert_eq!(c.args[0], "3</tmp/ERESTARTSYS.log>"),
+            other => panic!("{other:?}"),
+        }
+        let line = "9 08:00:00.000004 openat(AT_FDCWD, \"/tmp/ERESTARTSYS.log\", O_RDONLY) = 3</tmp/ERESTARTSYS.log> <0.000002>";
+        assert!(matches!(parse_line(line).unwrap(), Line::Call(_)));
     }
 
     #[test]

@@ -234,3 +234,46 @@ fn large_offsets_and_sizes() {
     assert_eq!(events[0].offset, Some(1 << 40));
     assert_eq!(events[0].dur, Micros(2_500_000));
 }
+
+#[test]
+fn record_keywords_inside_paths_do_not_change_the_record() {
+    // Each path carries text that marks a different record shape
+    // elsewhere in a line; inside an fd annotation it is just a path.
+    let text = "\
+100 10:00:00.000001 read(3</d/+++ exited with 0 +++>, \"...\", 10) = 10 <0.000001>
+100 10:00:00.000002 write(4</d/--- SIGCHLD --->, \"...\", 20) = 20 <0.000002>
+100 10:00:00.000003 read(5</d/a, w (q) = 1>, \"...\", 30) = 30 <0.000003>
+100 10:00:00.000004 write(6</d/b <unfinished ...>>, \"...\", 40) = 40 <0.000004>
+100 10:00:00.000005 read(7</d/<... read resumed> c>, \"...\", 50) = 50 <0.000005>
+100 10:00:00.000006 write(8</d/\"q\".txt>, \"...\", 60) = 60 <0.000006>
+100 10:00:00.000007 read(9</d/ERESTARTSYS (To be restarted)>, \"...\", 70) = 70 <0.000007>
+";
+    let interner = Interner::new();
+    let parsed = parse_str(text, &interner);
+    assert!(parsed.warnings.is_empty(), "{:?}", parsed.warnings);
+    let got: Vec<(Syscall, u64, u64, String, Option<u64>, Option<u64>)> = parsed
+        .events
+        .iter()
+        .map(|e| {
+            (
+                e.call,
+                e.start.0 % 1_000_000,
+                e.dur.0,
+                interner.resolve(e.path).to_string(),
+                e.size,
+                e.requested,
+            )
+        })
+        .collect();
+    let want = [
+        (Syscall::Read, 1, 1, "/d/+++ exited with 0 +++", 10),
+        (Syscall::Write, 2, 2, "/d/--- SIGCHLD ---", 20),
+        (Syscall::Read, 3, 3, "/d/a, w (q) = 1", 30),
+        (Syscall::Write, 4, 4, "/d/b <unfinished ...>", 40),
+        (Syscall::Read, 5, 5, "/d/<... read resumed> c", 50),
+        (Syscall::Write, 6, 6, "/d/\"q\".txt", 60),
+        (Syscall::Read, 7, 7, "/d/ERESTARTSYS (To be restarted)", 70),
+    ]
+    .map(|(call, start, dur, path, n)| (call, start, dur, path.to_string(), Some(n), Some(n)));
+    assert_eq!(got, want);
+}

@@ -1,7 +1,8 @@
 //! `bench_snapshot` — records the ingestion/DFG performance trajectory.
 //!
 //! Runs the parser experiments (sequential baseline plus a thread sweep
-//! of the parallel parser), the mapping, DFG-build and activity-log
+//! of the parallel parser, and the tokenizer and full parse on the
+//! paper IOR corpus), the mapping, DFG-build and activity-log
 //! rows, the statistics scaling rows in n and m (the paper's O(mn)
 //! claim, Sec. V), windowed vs exact max concurrency (Eq. 16), dense
 //! rendering in m (the O(m²) claim), the per-figure end-to-end
@@ -38,7 +39,8 @@ use st_model::{Case, CaseMeta, Event, EventLog, Interner, LogView, Micros, Pid, 
 use st_query::pushdown::{read_pruned, read_pruned_par, ColumnSet};
 use st_query::{group_by, parse_expr, scan, scan_par, GroupKey, Predicate};
 use st_store::{BytesSegment, SegmentReader, SegmentSource, StoreBuilder};
-use st_strace::{parse_par, parse_reader, parse_str};
+use st_strace::record::parse_line;
+use st_strace::{parse_par, parse_reader, parse_str, write_case, WriteOptions};
 
 /// Reference DFG accumulation the dense path replaced: one ordered-map
 /// lookup per edge increment and per occurrence count (the seed
@@ -207,6 +209,52 @@ fn main() {
             parse_lines as f64 / par_dt.as_secs_f64()
         ));
     }
+
+    // ---- parser on the paper corpus: both IOR experiments ------------
+    // The text `simulate <workload> --paper --emit-strace` writes, emitted
+    // in-process: the tokenizer alone (`record::parse_line`) and the full
+    // `parse_str` (one interner per round, as one load would use).
+    let paper_texts: Vec<String> = ["ior-ssf-fpp", "ior-mpiio"]
+        .iter()
+        .flat_map(|name| {
+            let log = st_source::sim::workload_log(name, !quick).expect("known workload");
+            log.cases()
+                .iter()
+                .map(|case| {
+                    let mut out = Vec::new();
+                    write_case(case, log.interner(), &mut out, &WriteOptions::default())
+                        .expect("write to memory");
+                    String::from_utf8(out).expect("strace text is UTF-8")
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let paper_lines: usize = paper_texts.iter().map(|t| t.lines().count()).sum();
+    let paper_rounds = if quick { 3 } else { 15 };
+    let (line_dt, _) = time_best(paper_rounds, || {
+        let mut n = 0usize;
+        for text in &paper_texts {
+            for line in text.lines() {
+                n += std::hint::black_box(parse_line(line)).is_some() as usize;
+            }
+        }
+        n
+    });
+    let (paper_str_dt, _) = time_best(paper_rounds, || {
+        let interner = Interner::new();
+        paper_texts
+            .iter()
+            .map(|text| parse_str(text, &interner).events.len())
+            .sum::<usize>()
+    });
+    let paper_line_ns = line_dt.as_nanos() as f64 / paper_lines as f64;
+    let paper_str_ns = paper_str_dt.as_nanos() as f64 / paper_lines as f64;
+    eprintln!(
+        "paper IOR parse: {paper_lines} lines, parse_line {paper_line_ns:.1} ns/line, parse_str {paper_str_ns:.1} ns/line"
+    );
+    let paper_ior_row = format!(
+        "{{\"lines\": {paper_lines}, \"rounds\": {paper_rounds}, \"parse_line_ns_per_line\": {paper_line_ns:.1}, \"parse_str_ns_per_line\": {paper_str_ns:.1}}}"
+    );
 
     // ---- DFG: mapping apply, build and activity-log multiset ---------
     let spec = SynthSpec {
@@ -1066,7 +1114,7 @@ fn main() {
     st_obs::reset();
 
     let json = format!(
-        "{{\n  \"quick\": {quick},\n  \"cores\": {cores},\n  \"parse\": {{\n    \"lines\": {parse_lines},\n    \"seq_ns\": {},\n    \"lines_per_sec\": {lines_per_sec:.1},\n    \"events_per_sec\": {lines_per_sec:.1},\n    \"reader_baseline_ns\": {},\n    \"thread_sweep\": [\n      {}\n    ]\n  }},\n  \"mapping\": {{\n    \"events\": {n_events},\n    \"apply_ns_per_event\": {:.3},\n    \"apply_unmemo_ns_per_event\": {:.3},\n    \"memo_speedup\": {memo_speedup:.4}\n  }},\n  \"dfg\": {{\n    \"events\": {n_events},\n    \"build_ns_per_event\": {build_ns_per_event:.3},\n    \"btreemap_reference_ns_per_event\": {:.3},\n    \"dense_speedup_vs_btreemap\": {dense_speedup:.4},\n    \"edge_observations\": {edge_obs},\n    \"activity_log_ns_per_event\": {alog_ns_per_event:.3}\n  }},\n  \"stats\": {{\n    \"vs_events\": [\n      {}\n    ],\n    \"vs_paths\": [\n      {}\n    ],\n    \"ior_ssf_fpp\": {stats_ior_row}\n  }},\n  \"concurrency\": [\n    {}\n  ],\n  \"render\": {{\n    \"dense_dot\": [\n      {}\n    ],\n    \"summary_m40_ns\": {}\n  }},\n  \"figures\": {{\n    \"fig3_ns\": {},\n    \"fig4_ns\": {},\n    \"fig5_ns\": {},\n    \"fig8_small_ns\": {},\n    \"fig9_small_ns\": {}\n  }},\n  \"query\": {{\n    \"events\": {n_events},\n    \"scan_pass_all_ns_per_event\": {:.3},\n    \"scan_pass_all_events_per_sec\": {scan_all_eps:.1},\n    \"scan_selective_ns_per_event\": {:.3},\n    \"scan_selective_events_per_sec\": {scan_sel_eps:.1},\n    \"selective_matched\": {sel_matched},\n    \"scan_pass_all_par4_ns_per_event\": {:.3},\n    \"project\": {{\n      \"events\": {project_events},\n      \"groups\": {groups},\n      \"group_by_file_ns\": {},\n      \"dfg_from_view_ns\": {},\n      \"per_file_dfg_family_ns\": {}\n    }}\n  }},\n  \"pushdown\": {{\n    \"events\": {pd_events},\n    \"store_bytes\": {},\n    \"block_events\": {},\n    \"selectivities\": [\n      {}\n    ]\n  }},\n  \"ooc\": {{\n    \"events\": {pd_events},\n    \"block_events\": {ooc_block_events},\n    \"file_bytes\": {ooc_file_len},\n    \"streaming_write_ns\": {},\n    \"resident_write_ns\": {},\n    \"peak_buffer_bytes\": {peak_buffer},\n    \"selectivities\": [\n      {}\n    ]\n  }},\n  \"requery\": {{\n    \"events\": {pd_events},\n    \"block_events\": {ooc_block_events},\n    \"matched\": {rq_cold_matched},\n    \"broad_matched\": {rq_broad_matched},\n    \"cold_ns\": {rq_cold_ns},\n    \"warm_ns\": {rq_warm_ns},\n    \"speedup\": {rq_speedup:.4},\n    \"cache_hits\": {rq_hits},\n    \"cache_misses\": {rq_misses},\n    \"hit_rate\": {rq_hit_rate:.4},\n    \"cache_resident_bytes\": {rq_resident},\n    \"warm_disk_bytes_read\": {rq_disk},\n    \"cold_ns_per_matched_event\": {rq_cold_npe:.1},\n    \"warm_ns_per_matched_event\": {rq_warm_npe:.1},\n    \"sched\": \"{rq_sched}\"\n  }},\n  \"salvage\": {{\n    \"events\": {pd_events},\n    \"strict_read_ns\": {},\n    \"clean_salvage_ns\": {},\n    \"clean_overhead_vs_strict\": {salvage_overhead:.4},\n    \"degraded_read_ns\": {},\n    \"degraded_events_recovered\": {},\n    \"degraded_blocks_recovered\": {},\n    \"blocks_total\": {}\n  }},\n  \"obs\": {{\n    \"lines\": {parse_lines},\n    \"disabled_ns\": {},\n    \"enabled_ns\": {},\n    \"enabled_over_disabled\": {obs_ratio:.4}\n  }},\n  \"serve\": [\n    {}\n  ],\n  \"source_open\": [\n    {}\n  ]\n}}\n",
+        "{{\n  \"quick\": {quick},\n  \"cores\": {cores},\n  \"parse\": {{\n    \"lines\": {parse_lines},\n    \"seq_ns\": {},\n    \"lines_per_sec\": {lines_per_sec:.1},\n    \"events_per_sec\": {lines_per_sec:.1},\n    \"reader_baseline_ns\": {},\n    \"thread_sweep\": [\n      {}\n    ],\n    \"paper_ior\": {paper_ior_row}\n  }},\n  \"mapping\": {{\n    \"events\": {n_events},\n    \"apply_ns_per_event\": {:.3},\n    \"apply_unmemo_ns_per_event\": {:.3},\n    \"memo_speedup\": {memo_speedup:.4}\n  }},\n  \"dfg\": {{\n    \"events\": {n_events},\n    \"build_ns_per_event\": {build_ns_per_event:.3},\n    \"btreemap_reference_ns_per_event\": {:.3},\n    \"dense_speedup_vs_btreemap\": {dense_speedup:.4},\n    \"edge_observations\": {edge_obs},\n    \"activity_log_ns_per_event\": {alog_ns_per_event:.3}\n  }},\n  \"stats\": {{\n    \"vs_events\": [\n      {}\n    ],\n    \"vs_paths\": [\n      {}\n    ],\n    \"ior_ssf_fpp\": {stats_ior_row}\n  }},\n  \"concurrency\": [\n    {}\n  ],\n  \"render\": {{\n    \"dense_dot\": [\n      {}\n    ],\n    \"summary_m40_ns\": {}\n  }},\n  \"figures\": {{\n    \"fig3_ns\": {},\n    \"fig4_ns\": {},\n    \"fig5_ns\": {},\n    \"fig8_small_ns\": {},\n    \"fig9_small_ns\": {}\n  }},\n  \"query\": {{\n    \"events\": {n_events},\n    \"scan_pass_all_ns_per_event\": {:.3},\n    \"scan_pass_all_events_per_sec\": {scan_all_eps:.1},\n    \"scan_selective_ns_per_event\": {:.3},\n    \"scan_selective_events_per_sec\": {scan_sel_eps:.1},\n    \"selective_matched\": {sel_matched},\n    \"scan_pass_all_par4_ns_per_event\": {:.3},\n    \"project\": {{\n      \"events\": {project_events},\n      \"groups\": {groups},\n      \"group_by_file_ns\": {},\n      \"dfg_from_view_ns\": {},\n      \"per_file_dfg_family_ns\": {}\n    }}\n  }},\n  \"pushdown\": {{\n    \"events\": {pd_events},\n    \"store_bytes\": {},\n    \"block_events\": {},\n    \"selectivities\": [\n      {}\n    ]\n  }},\n  \"ooc\": {{\n    \"events\": {pd_events},\n    \"block_events\": {ooc_block_events},\n    \"file_bytes\": {ooc_file_len},\n    \"streaming_write_ns\": {},\n    \"resident_write_ns\": {},\n    \"peak_buffer_bytes\": {peak_buffer},\n    \"selectivities\": [\n      {}\n    ]\n  }},\n  \"requery\": {{\n    \"events\": {pd_events},\n    \"block_events\": {ooc_block_events},\n    \"matched\": {rq_cold_matched},\n    \"broad_matched\": {rq_broad_matched},\n    \"cold_ns\": {rq_cold_ns},\n    \"warm_ns\": {rq_warm_ns},\n    \"speedup\": {rq_speedup:.4},\n    \"cache_hits\": {rq_hits},\n    \"cache_misses\": {rq_misses},\n    \"hit_rate\": {rq_hit_rate:.4},\n    \"cache_resident_bytes\": {rq_resident},\n    \"warm_disk_bytes_read\": {rq_disk},\n    \"cold_ns_per_matched_event\": {rq_cold_npe:.1},\n    \"warm_ns_per_matched_event\": {rq_warm_npe:.1},\n    \"sched\": \"{rq_sched}\"\n  }},\n  \"salvage\": {{\n    \"events\": {pd_events},\n    \"strict_read_ns\": {},\n    \"clean_salvage_ns\": {},\n    \"clean_overhead_vs_strict\": {salvage_overhead:.4},\n    \"degraded_read_ns\": {},\n    \"degraded_events_recovered\": {},\n    \"degraded_blocks_recovered\": {},\n    \"blocks_total\": {}\n  }},\n  \"obs\": {{\n    \"lines\": {parse_lines},\n    \"disabled_ns\": {},\n    \"enabled_ns\": {},\n    \"enabled_over_disabled\": {obs_ratio:.4}\n  }},\n  \"serve\": [\n    {}\n  ],\n  \"source_open\": [\n    {}\n  ]\n}}\n",
         seq_dt.as_nanos(),
         reader_dt.as_nanos(),
         sweep_rows.join(",\n      "),

@@ -159,15 +159,23 @@ impl Interner {
     /// under the read lock, the miss path re-probes under the write lock
     /// (another writer may have raced) and inserts without rehashing.
     pub fn intern(&self, s: &str) -> Symbol {
+        self.intern_inserted(s).0
+    }
+
+    /// Interns `s` like [`Interner::intern`], also saying whether this
+    /// call inserted it. The flag is `false` when `s` was already
+    /// present, or when another thread inserted it first, so concurrent
+    /// callers that sum their flags count every new string once.
+    pub fn intern_inserted(&self, s: &str) -> (Symbol, bool) {
         let hash = hash_str(s);
         if let Some(sym) = self.read().find(hash, s) {
-            return sym;
+            return (sym, false);
         }
         let mut inner = self.write();
         if let Some(sym) = inner.find(hash, s) {
-            return sym; // raced with another writer
+            return (sym, false); // raced with another writer
         }
-        inner.insert(hash, s)
+        (inner.insert(hash, s), true)
     }
 
     /// Interns every key in `keys`, in order, returning their symbols.
@@ -178,6 +186,14 @@ impl Interner {
     /// how many new strings it carries. This is the publication path of
     /// the parallel trace parser's thread-local tables.
     pub fn intern_many(&self, keys: &[&str]) -> Vec<Symbol> {
+        self.intern_many_inserted(keys).0
+    }
+
+    /// [`Interner::intern_many`], also returning how many of the keys
+    /// this call inserted (the count [`Interner::intern_inserted`]
+    /// flags one key at a time).
+    pub fn intern_many_inserted(&self, keys: &[&str]) -> (Vec<Symbol>, usize) {
+        let mut inserted = 0;
         let mut out = vec![Symbol(EMPTY); keys.len()];
         let mut misses: Vec<(usize, u64)> = Vec::new();
         {
@@ -196,11 +212,14 @@ impl Interner {
                 let key = keys[i];
                 out[i] = match inner.find(hash, key) {
                     Some(sym) => sym,
-                    None => inner.insert(hash, key),
+                    None => {
+                        inserted += 1;
+                        inner.insert(hash, key)
+                    }
                 };
             }
         }
-        out
+        (out, inserted)
     }
 
     /// Returns the string behind `sym`.
@@ -432,6 +451,26 @@ mod tests {
         for (s, sym) in all {
             assert_eq!(&*i.resolve(sym), s.as_str());
         }
+    }
+
+    #[test]
+    fn inserted_flags_count_each_new_string_once() {
+        let i = Interner::new_shared();
+        i.intern("pre");
+        let handles: Vec<_> = (1..=4)
+            .map(|t| {
+                let i = std::sync::Arc::clone(&i);
+                std::thread::spawn(move || {
+                    (0..200)
+                        .filter(|n| i.intern_inserted(&format!("k{}", n * t % 150)).1)
+                        .count()
+                })
+            })
+            .collect();
+        let inserted: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        assert_eq!(inserted + 1, i.len());
+        let (syms, inserted) = i.intern_many_inserted(&["pre", "new", "new"]);
+        assert_eq!((syms[1], inserted), (syms[2], 1));
     }
 
     #[test]

@@ -4,49 +4,36 @@
 //! # Architecture
 //!
 //! Every entry point is built from one assembly core of two pieces:
-//! `classify`, which turns one line into an event, a warning, a
-//! deferred `<unfinished ...>`/`resumed` record or nothing, and
-//! `Matcher`, which pairs those records FIFO per `(pid, name)` —
-//! strace resumes a pid's calls in emission order. The matcher copies
-//! only an unfinished record's name and arguments, so no line has to
-//! outlive its own parse.
+//! `classify`, which runs the [`crate::record`] cursor over one line
+//! (arguments into a scratch vector the caller reuses) and turns it into
+//! an event, a warning, a deferred `<unfinished ...>`/`resumed` record or
+//! nothing, and `Matcher`, which pairs those records FIFO per
+//! `(pid, name)` — strace resumes a pid's calls in emission order. The
+//! matcher copies only an unfinished record's name and arguments, so no
+//! line has to outlive its own parse.
 //!
 //! * [`parse_str`] — sequential single pass over an in-memory trace.
-//! * [`parse_par`] — the chunked parallel pipeline: the input is split
-//!   at line boundaries into one byte-range chunk per worker; each
-//!   worker classifies its chunk into a local event vector (complete
-//!   calls only — `<unfinished ...>`/`resumed` records are deferred),
-//!   interning into a thread-local [`LocalInterner`] so the shared
-//!   interner's lock is never touched from a worker. A sequential merge
-//!   then replays the deferred records through the matcher across chunk
-//!   boundaries (exactly like the sequential path), publishes every
-//!   thread-local string table through a single
-//!   [`Interner::intern_many`] batch, and k-way merges the per-chunk
-//!   event runs by `(start, line)`.
+//! * [`parse_par`] — the chunked parallel pipeline: one line-aligned
+//!   chunk per worker, classified into a local event vector with a
+//!   thread-local [`LocalInterner`] (deferred records are kept as their
+//!   line text). A sequential merge re-reads the deferred records through
+//!   the matcher across chunk boundaries, publishes the thread-local
+//!   tables in one [`Interner::intern_many`] batch, and k-way merges the
+//!   per-chunk event runs by `(start, line)`.
 //! * [`StreamParser`] — push API for live ingest: each line is
-//!   classified and matched as it arrives, so events surface as they
-//!   complete.
-//! * [`parse_reader`] — line-at-a-time constant-memory loop over the
-//!   same streaming assembly, for sources read from disk.
+//!   classified and matched as it arrives.
+//! * [`parse_reader`] — a constant-memory line loop over the same
+//!   streaming assembly.
 //!
 //! # Determinism
 //!
-//! `parse_par` produces output *identical* to `parse_str` — the same
-//! `Event` values including interned [`Symbol`] ids (when both start
-//! from interners in the same state), and the same warnings in the same
-//! order. Two properties make this work:
-//!
-//! 1. events are ordered by `(start, completing line)`, which equals the
-//!    sequential path's stable sort by start over completion-ordered
-//!    events, regardless of how the input was chunked;
-//! 2. strings are published to the shared interner in first-use order of
-//!    the canonical walk (complete calls in line order, then merged
-//!    unfinished/resumed calls in resumption order) — the same order in
-//!    which the sequential pass interns them.
-//!
-//! The streaming paths give the same events and warnings; only their
-//! symbol numbering can differ, because they intern a merged call at
-//! its resumption line (see [`parse_reader`]).
+//! `parse_par` produces output *identical* to `parse_str` (events with
+//! their [`Symbol`] ids, given interners in the same state, and
+//! warnings): events are ordered by `(start, completing line)` whatever
+//! the chunking, and strings are published in the sequential pass's
+//! first-use order (complete calls by line, then merged calls by
+//! resumption). The streaming paths give the same events and warnings
+//! but may number symbols differently (see [`parse_reader`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::BufRead;
@@ -73,12 +60,16 @@ trait Intern {
     fn intern_str(&mut self, s: &str) -> Symbol;
 }
 
-struct SharedIntern<'i>(&'i Interner);
+/// The shared table, plus a count of the strings this parse inserted
+/// itself: another parse may be inserting into the table concurrently.
+struct SharedIntern<'i>(&'i Interner, usize);
 
 impl Intern for SharedIntern<'_> {
     #[inline]
     fn intern_str(&mut self, s: &str) -> Symbol {
-        self.0.intern(s)
+        let (sym, inserted) = self.0.intern_inserted(s);
+        self.1 += usize::from(inserted);
+        sym
     }
 }
 
@@ -98,17 +89,26 @@ enum Step<'a> {
     Event(Event),
     /// An unparsable, interrupted or orphaned record.
     Warning(Warning),
-    /// An `<unfinished ...>` or `resumed` record, for the [`Matcher`].
+    /// An `<unfinished ...>` or `resumed` record (an interrupted one
+    /// included), for the [`Matcher`]; its arguments are in the scratch.
     Async(Line<'a>),
 }
 
-/// Classifies line `lineno`: the per-line step every parse path shares.
-fn classify<'a, I: Intern>(lineno: usize, line: &'a str, sink: &mut I) -> Step<'a> {
-    match parse_line(line) {
+/// Classifies line `lineno`, tokenizing its arguments into the reused
+/// scratch vector `args`: the per-line step every parse path shares.
+fn classify<'a, I: Intern>(
+    lineno: usize,
+    line: &'a str,
+    args: &mut Vec<&'a str>,
+    sink: &mut I,
+) -> Step<'a> {
+    match parse_line(line, args) {
         Some(Line::Empty | Line::Signal | Line::Exit { .. }) => Step::Skip,
-        Some(Line::Restarted) => Step::Warning(Warning::Restarted { line: lineno }),
-        Some(line @ (Line::Unfinished { .. } | Line::Resumed { .. })) => Step::Async(line),
-        Some(Line::Call(call)) => Step::Event(call_to_event(&call, sink)),
+        Some(Line::Restarted { resumed: false, .. }) => {
+            Step::Warning(Warning::Restarted { line: lineno })
+        }
+        Some(Line::Call(call)) => Step::Event(call_to_event(&call, args, sink)),
+        Some(record) => Step::Async(record),
         None => Step::Warning(Warning::UnparsableLine {
             line: lineno,
             text: truncate(line, 160),
@@ -134,22 +134,24 @@ struct Matcher {
 impl Matcher {
     /// Holds an unfinished record, or merges a resumed one (at `line`)
     /// with the oldest held call of its `(pid, name)`. A resumed record
-    /// with nothing held is an orphan.
-    fn feed<I: Intern>(&mut self, line: usize, record: &Line<'_>, sink: &mut I) -> Step<'static> {
-        match record {
-            Line::Unfinished {
-                pid,
-                start,
-                name,
-                args,
-            } => {
+    /// with nothing held is an orphan. An `ERESTARTSYS` resumed record
+    /// drops the call it ends: Sec. III ignores interrupted calls.
+    fn feed<I: Intern>(
+        &mut self,
+        line: usize,
+        record: &Line<'_>,
+        args: &[&str],
+        sink: &mut I,
+    ) -> Step<'static> {
+        match *record {
+            Line::Unfinished { pid, start, name } => {
                 self.pending
                     .entry(pid.unwrap_or(0))
                     .or_default()
                     .entry(name.to_string())
                     .or_default()
                     .push_back(Pending {
-                        start: *start,
+                        start,
                         args: args.iter().map(|a| a.to_string()).collect(),
                         seq: self.seq,
                     });
@@ -159,37 +161,42 @@ impl Matcher {
             Line::Resumed {
                 pid,
                 name,
-                args,
                 ret,
                 dur,
                 ..
             } => {
-                let pid_key = pid.unwrap_or(0);
-                let held = self
-                    .pending
-                    .get_mut(&pid_key)
-                    .and_then(|by_name| by_name.get_mut(*name))
-                    .and_then(VecDeque::pop_front);
-                let Some(p) = held else {
-                    return Step::Warning(Warning::OrphanResumed { line, pid: pid_key });
+                let Some(p) = self.take(pid, name) else {
+                    let pid = pid.unwrap_or(0);
+                    return Step::Warning(Warning::OrphanResumed { line, pid });
                 };
                 // Merge: prefix args from the unfinished record, suffix
                 // args plus return info from the resumed one (Sec. III:
                 // duration and transfer size live on the resumed record).
                 let mut merged: Vec<&str> = p.args.iter().map(String::as_str).collect();
-                merged.extend(args);
+                merged.extend_from_slice(args);
                 let call = ParsedCall {
-                    pid: *pid,
+                    pid,
                     start: p.start,
                     name,
-                    args: merged,
-                    ret: *ret,
-                    dur: *dur,
+                    ret,
+                    dur,
                 };
-                Step::Event(call_to_event(&call, sink))
+                Step::Event(call_to_event(&call, &merged, sink))
+            }
+            Line::Restarted { pid, name, .. } => {
+                self.take(pid, name);
+                Step::Warning(Warning::Restarted { line })
             }
             _ => unreachable!("the matcher takes unfinished/resumed records only"),
         }
+    }
+
+    /// Removes the oldest held call of `(pid, name)`.
+    fn take(&mut self, pid: Option<u32>, name: &str) -> Option<Pending> {
+        self.pending
+            .get_mut(&pid.unwrap_or(0))
+            .and_then(|by_name| by_name.get_mut(name))
+            .and_then(VecDeque::pop_front)
     }
 
     /// Never-resumed warnings for the calls still held, in arrival
@@ -270,8 +277,8 @@ fn finalize_warnings(mut warnings: Vec<Warning>, mut suppressed: usize) -> Vec<W
 struct ChunkParse<'a> {
     /// Complete-call events and warnings, in line order.
     collected: Collected,
-    /// Deferred unfinished/resumed records, in line order.
-    asyncs: Vec<(usize, Line<'a>)>,
+    /// Deferred unfinished/resumed record lines, in line order.
+    asyncs: Vec<(usize, &'a str)>,
     /// Number of lines in the chunk.
     line_count: usize,
 }
@@ -284,11 +291,12 @@ fn parse_chunk<'a, I: Intern>(chunk: &'a str, sink: &mut I) -> ChunkParse<'a> {
         asyncs: Vec::new(),
         line_count: 0,
     };
+    let mut args = Vec::new();
     for (idx, line) in chunk.lines().enumerate() {
         let lineno = idx + 1;
         out.line_count = lineno;
-        match classify(lineno, line, sink) {
-            Step::Async(record) => out.asyncs.push((lineno, record)),
+        match classify(lineno, line, &mut args, sink) {
+            Step::Async(_) => out.asyncs.push((lineno, line)),
             step => out.collected.push(lineno, step),
         }
     }
@@ -304,9 +312,12 @@ fn merge_asyncs<I: Intern>(
 ) -> Collected {
     let mut matcher = Matcher::default();
     let mut out = Collected::default();
+    let mut args = Vec::new();
     for (chunk, &offset) in chunks.iter().zip(offsets) {
-        for (line, record) in &chunk.asyncs {
-            let step = matcher.feed(offset + line, record, sink);
+        for &(line, text) in &chunk.asyncs {
+            // Read the record again: the chunk pass kept no arguments.
+            let record = parse_line(text, &mut args).expect("deferred records parse");
+            let step = matcher.feed(offset + line, &record, &args, sink);
             out.push(offset + line, step);
         }
     }
@@ -362,8 +373,7 @@ fn shift_warning(mut w: Warning, offset: usize) -> Warning {
 /// ```
 pub fn parse_str(text: &str, interner: &Interner) -> ParsedTrace {
     let _span = st_obs::span!("strace.parse", bytes = text.len());
-    let symbols_before = interner.len();
-    let mut sink = SharedIntern(interner);
+    let mut sink = SharedIntern(interner, 0);
     let chunks = [parse_chunk(text, &mut sink)];
     let merged = merge_asyncs(&chunks, &[0], &mut sink);
     let [ChunkParse { mut collected, .. }] = chunks;
@@ -373,7 +383,7 @@ pub fn parse_str(text: &str, interner: &Interner) -> ParsedTrace {
     let parsed = collected.finish();
 
     st_obs::add("events_parsed", parsed.events.len() as u64);
-    st_obs::add("symbols_interned", (interner.len() - symbols_before) as u64);
+    st_obs::add("symbols_interned", sink.1 as u64);
     parsed
 }
 
@@ -441,6 +451,16 @@ fn collect_candidates<'l>(
     }
 }
 
+/// Every event vector of a parallel parse: one per chunk, then the
+/// merged unfinished/resumed calls.
+fn event_runs<'c, 'a>(
+    chunks: &'c mut [ChunkParse<'a>],
+    merged: &'c mut Collected,
+) -> impl Iterator<Item = &'c mut Vec<(usize, Event)>> + use<'c, 'a> {
+    let chunk_runs = chunks.iter_mut().map(|c| &mut c.collected.events);
+    chunk_runs.chain([&mut merged.events])
+}
+
 /// Rewrites candidate ids into the shared interner's symbols.
 fn apply_symbols(events: &mut [(usize, Event)], shared: &[Symbol]) {
     for (_, ev) in events.iter_mut() {
@@ -490,41 +510,30 @@ pub fn parse_par(text: &str, interner: &Interner, threads: usize) -> ParsedTrace
 
     // Map: parse chunks in parallel, each into a thread-local interner.
     let obs_cx = st_obs::context();
-    let parsed: Vec<(ChunkParse<'_>, LocalInterner, Vec<usize>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|chunk| {
-                let obs_cx = obs_cx.clone();
-                scope.spawn(move || {
-                    let _obs = obs_cx.attach();
-                    let _chunk_span = st_obs::span!("strace.parse.chunk", bytes = chunk.len());
-                    let mut local = LocalInterner::new();
-                    let parsed = parse_chunk(chunk, &mut local);
-                    // Pre-sorted run for the final k-way merge.
-                    let events = &parsed.collected.events;
-                    let mut order: Vec<usize> = (0..events.len()).collect();
-                    order.sort_unstable_by_key(|&i| event_order(&events[i]));
-                    (parsed, local, order)
+    let (mut chunk_parses, locals, orders): (Vec<ChunkParse<'_>>, Vec<LocalInterner>, Vec<_>) =
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = chunks
+                .iter()
+                .map(|chunk| {
+                    let obs_cx = obs_cx.clone();
+                    scope.spawn(move || {
+                        let _obs = obs_cx.attach();
+                        let _chunk_span = st_obs::span!("strace.parse.chunk", bytes = chunk.len());
+                        let mut local = LocalInterner::new();
+                        let parsed = parse_chunk(chunk, &mut local);
+                        // Pre-sorted run for the final k-way merge.
+                        let events = &parsed.collected.events;
+                        let mut order: Vec<usize> = (0..events.len()).collect();
+                        order.sort_unstable_by_key(|&i| event_order(&events[i]));
+                        (parsed, local, order)
+                    })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("parser worker panicked"))
-            .collect()
-    });
-
-    let (mut chunk_parses, locals, orders): (Vec<_>, Vec<_>, Vec<_>) = {
-        let mut cps = Vec::with_capacity(parsed.len());
-        let mut ls = Vec::with_capacity(parsed.len());
-        let mut os = Vec::with_capacity(parsed.len());
-        for (cp, l, o) in parsed {
-            cps.push(cp);
-            ls.push(l);
-            os.push(o);
-        }
-        (cps, ls, os)
-    };
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("parser worker panicked"))
+                .collect()
+        });
 
     // Global line offsets per chunk.
     let mut offsets = Vec::with_capacity(chunk_parses.len());
@@ -546,28 +555,15 @@ pub fn parse_par(text: &str, interner: &Interner, threads: usize) -> ParsedTrace
     let mut dedup: HashMap<&str, u32> = HashMap::new();
     let mut candidates: Vec<&str> = Vec::new();
     let mut cache: Vec<Option<u32>> = Vec::new();
-    for (chunk, local) in chunk_parses.iter_mut().zip(&locals) {
-        collect_candidates(
-            &mut chunk.collected.events,
-            local,
-            &mut cache,
-            &mut dedup,
-            &mut candidates,
-        );
+    let tables = locals.iter().chain([&merge_local]);
+    for (events, local) in event_runs(&mut chunk_parses, &mut merged).zip(tables) {
+        collect_candidates(events, local, &mut cache, &mut dedup, &mut candidates);
     }
-    collect_candidates(
-        &mut merged.events,
-        &merge_local,
-        &mut cache,
-        &mut dedup,
-        &mut candidates,
-    );
-    let shared = interner.intern_many(&candidates);
-    st_obs::add("symbols_interned", shared.len() as u64);
-    for chunk in chunk_parses.iter_mut() {
-        apply_symbols(&mut chunk.collected.events, &shared);
+    let (shared, inserted) = interner.intern_many_inserted(&candidates);
+    st_obs::add("symbols_interned", inserted as u64);
+    for events in event_runs(&mut chunk_parses, &mut merged) {
+        apply_symbols(events, &shared);
     }
-    apply_symbols(&mut merged.events, &shared);
     drop(intern_span);
 
     // Reduce 3: k-way merge the pre-sorted per-chunk runs (plus the
@@ -583,7 +579,8 @@ pub fn parse_par(text: &str, interner: &Interner, threads: usize) -> ParsedTrace
     runs.push(Box::new(
         merged.events.iter().map(|&(line, ev)| (ev.start, line, ev)),
     ));
-    let events = kway_merge(runs, total_events(&chunk_parses) + merged.events.len());
+    let capacity: usize = chunk_parses.iter().map(|c| c.collected.events.len()).sum();
+    let events = kway_merge(runs, capacity + merged.events.len());
 
     // Warnings: per-chunk warnings shifted to global lines, orphan /
     // never-resumed warnings from the merge, ordered by line. Any
@@ -594,14 +591,10 @@ pub fn parse_par(text: &str, interner: &Interner, threads: usize) -> ParsedTrace
     let mut warnings = Vec::new();
     let mut suppressed = merged.suppressed;
     for (chunk, &offset) in chunk_parses.iter_mut().zip(&offsets) {
-        let collected = &mut chunk.collected;
-        warnings.extend(
-            collected
-                .warnings
-                .drain(..)
-                .map(|w| shift_warning(w, offset)),
-        );
-        suppressed += collected.suppressed;
+        for w in chunk.collected.warnings.drain(..) {
+            warnings.push(shift_warning(w, offset));
+        }
+        suppressed += chunk.collected.suppressed;
     }
     warnings.extend(merged.warnings);
 
@@ -612,20 +605,15 @@ pub fn parse_par(text: &str, interner: &Interner, threads: usize) -> ParsedTrace
     }
 }
 
-fn total_events(chunks: &[ChunkParse<'_>]) -> usize {
-    chunks.iter().map(|c| c.collected.events.len()).sum()
-}
-
 /// Merges pre-sorted `(start, line, event)` runs into one event vector.
 fn kway_merge(
-    runs: Vec<Box<dyn Iterator<Item = (Micros, usize, Event)> + '_>>,
+    mut runs: Vec<Box<dyn Iterator<Item = (Micros, usize, Event)> + '_>>,
     capacity: usize,
 ) -> Vec<Event> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
     let mut events = Vec::with_capacity(capacity);
-    let mut runs = runs;
     let mut heap: BinaryHeap<Reverse<(Micros, usize, usize)>> = BinaryHeap::new();
     let mut heads: Vec<Option<Event>> = Vec::with_capacity(runs.len());
     for (idx, run) in runs.iter_mut().enumerate() {
@@ -665,7 +653,7 @@ pub fn parse_reader<R: BufRead>(
     interner: &Interner,
 ) -> std::io::Result<ParsedTrace> {
     let _span = st_obs::span!("strace.parse.stream");
-    let mut assembler = LineAssembler::new(interner);
+    let mut assembler = LineAssembler::default();
     let mut buf = String::new();
     loop {
         buf.clear();
@@ -674,54 +662,57 @@ pub fn parse_reader<R: BufRead>(
         }
         assembler.feed(&buf, interner);
     }
-    Ok(assembler.finish(interner))
+    Ok(assembler.finish())
 }
 
 /// The streaming assembly behind [`StreamParser`] and [`parse_reader`]:
 /// each line is classified and matched as it arrives.
+#[derive(Default)]
 struct LineAssembler {
     collected: Collected,
     matcher: Matcher,
     lineno: usize,
-    symbols_before: usize,
+    /// Strings this stream inserted into the shared interner.
+    inserted: usize,
+    /// The scratch argument vector, emptied between lines.
+    args: Vec<&'static str>,
 }
 
 impl LineAssembler {
-    fn new(interner: &Interner) -> LineAssembler {
-        LineAssembler {
-            collected: Collected::default(),
-            matcher: Matcher::default(),
-            lineno: 0,
-            symbols_before: interner.len(),
-        }
-    }
-
     fn feed(&mut self, line: &str, interner: &Interner) {
         self.lineno += 1;
-        let mut sink = SharedIntern(interner);
+        let mut sink = SharedIntern(interner, 0);
         let line = line.trim_end_matches(['\n', '\r']);
-        let step = match classify(self.lineno, line, &mut sink) {
-            Step::Async(record) => self.matcher.feed(self.lineno, &record, &mut sink),
+        let mut args = std::mem::take(&mut self.args);
+        let step = match classify(self.lineno, line, &mut args, &mut sink) {
+            Step::Async(record) => self.matcher.feed(self.lineno, &record, &args, &mut sink),
             step => step,
         };
         self.collected.push(self.lineno, step);
+        self.inserted += sink.1;
+        self.args = recycle(args);
     }
 
     /// Drains never-resumed calls into warnings and returns the
     /// start-sorted trace: strace emits records in completion order, and
     /// merged calls re-enter at their *start* time.
-    fn finish(mut self, interner: &Interner) -> ParsedTrace {
+    fn finish(mut self) -> ParsedTrace {
         for w in self.matcher.finish() {
             self.collected.warn(w);
         }
         let parsed = self.collected.finish();
         st_obs::add("events_parsed", parsed.events.len() as u64);
-        st_obs::add(
-            "symbols_interned",
-            (interner.len() - self.symbols_before) as u64,
-        );
+        st_obs::add("symbols_interned", self.inserted as u64);
         parsed
     }
+}
+
+/// Empties `args` and hands its buffer on, typed for the next line's
+/// lifetime: collecting an emptied vector's `into_iter` reuses the
+/// allocation in place.
+fn recycle<'b>(mut args: Vec<&str>) -> Vec<&'b str> {
+    args.clear();
+    args.into_iter().map(|_| "").collect()
 }
 
 /// Incremental line-at-a-time parser for live ingest.
@@ -758,10 +749,9 @@ pub struct StreamParser {
 impl StreamParser {
     /// Starts a parser that interns symbols into `interner`.
     pub fn new(interner: Arc<Interner>) -> StreamParser {
-        let assembler = LineAssembler::new(&interner);
         StreamParser {
             interner,
-            assembler,
+            assembler: LineAssembler::default(),
             polled: 0,
         }
     }
@@ -795,7 +785,7 @@ impl StreamParser {
     /// returns the start-sorted trace, identical to [`parse_reader`]
     /// over the same lines and interner.
     pub fn finish(self) -> ParsedTrace {
-        self.assembler.finish(&self.interner)
+        self.assembler.finish()
     }
 }
 
@@ -810,21 +800,21 @@ impl std::fmt::Debug for StreamParser {
 
 fn truncate(s: &str, max: usize) -> String {
     if s.len() <= max {
-        s.to_string()
-    } else {
-        let mut end = max;
-        while !s.is_char_boundary(end) {
-            end -= 1;
-        }
-        format!("{}…", &s[..end])
+        return s.to_string();
     }
+    let end = (0..=max)
+        .rev()
+        .find(|&i| s.is_char_boundary(i))
+        .unwrap_or(0);
+    format!("{}…", &s[..end])
 }
 
-/// Converts a complete (or merged) call record into an [`Event`].
+/// Converts a complete (or merged) call record with top-level arguments
+/// `args` into an [`Event`].
 ///
 /// Unknown calls are kept with interned names, so arbitrary `-e`
 /// selections survive.
-fn call_to_event<I: Intern>(call: &ParsedCall<'_>, sink: &mut I) -> Event {
+fn call_to_event<I: Intern>(call: &ParsedCall<'_>, args: &[&str], sink: &mut I) -> Event {
     let syscall = Syscall::from_known_name(call.name)
         .unwrap_or_else(|| Syscall::Other(sink.intern_str(call.name)));
     let ok = !call.ret.is_error();
@@ -837,17 +827,14 @@ fn call_to_event<I: Intern>(call: &ParsedCall<'_>, sink: &mut I) -> Event {
             .annotation_path()
             .or_else(|| {
                 let arg_idx = if syscall == Syscall::Openat { 1 } else { 0 };
-                call.args
-                    .get(arg_idx)
-                    .and_then(|a| scan::quoted_contents(a))
+                args.get(arg_idx).and_then(|a| scan::quoted_contents(a))
             })
             .unwrap_or("")
     } else {
         // `-y` annotates whichever argument is a descriptor — the first
         // for read/write/lseek, the fifth for mmap, both for dup3; take
         // the first annotated one.
-        call.args
-            .iter()
+        args.iter()
             .find_map(|a| scan::fd_annotation_path(a))
             .or_else(|| call.ret.annotation_path())
             .unwrap_or("")
@@ -866,11 +853,10 @@ fn call_to_event<I: Intern>(call: &ParsedCall<'_>, sink: &mut I) -> Event {
     // vectored I/O the argument is an iovec count, not bytes, so it is
     // not a byte request.
     let requested = match syscall {
-        Syscall::Read | Syscall::Write => call.args.last().and_then(|a| scan::numeric_arg(a)),
+        Syscall::Read | Syscall::Write => args.last().and_then(|a| scan::numeric_arg(a)),
         Syscall::Pread64 | Syscall::Pwrite64 => {
-            let n = call.args.len();
-            call.args
-                .get(n.wrapping_sub(2))
+            let n = args.len();
+            args.get(n.wrapping_sub(2))
                 .and_then(|a| scan::numeric_arg(a))
         }
         _ => None,
@@ -882,10 +868,10 @@ fn call_to_event<I: Intern>(call: &ParsedCall<'_>, sink: &mut I) -> Event {
             if ok {
                 call.ret.value().filter(|v| *v >= 0).map(|v| v as u64)
             } else {
-                call.args.get(1).and_then(|a| scan::numeric_arg(a))
+                args.get(1).and_then(|a| scan::numeric_arg(a))
             }
         }
-        Syscall::Pread64 | Syscall::Pwrite64 => call.args.last().and_then(|a| scan::numeric_arg(a)),
+        Syscall::Pread64 | Syscall::Pwrite64 => args.last().and_then(|a| scan::numeric_arg(a)),
         _ => None,
     };
 
@@ -1030,6 +1016,37 @@ mod tests {
         let parsed = parse_str(text, &i);
         assert_eq!(parsed.events.len(), 1);
         assert_eq!(parsed.warnings, vec![Warning::Restarted { line: 1 }]);
+    }
+
+    #[test]
+    fn erestartsys_resumed_record_drops_its_unfinished_call() {
+        // The interrupted read of /a ends at line 2; the re-issued read
+        // of /b is merged with its own resumption only.
+        let text = "\
+9  08:00:00.000001 read(3</a>, <unfinished ...>
+9  08:00:00.000002 <... read resumed> \"\", 10) = ? ERESTARTSYS (To be restarted) <0.000004>
+9  08:00:00.000003 read(3</b>, <unfinished ...>
+9  08:00:00.000009 <... read resumed> \"x\", 10) = 1 <0.000006>
+";
+        let want_start = Micros::parse_time_of_day("08:00:00.000003").unwrap();
+        let check = |parsed: &ParsedTrace, i: &Interner| {
+            assert_eq!(parsed.warnings, vec![Warning::Restarted { line: 2 }]);
+            assert_eq!(parsed.events.len(), 1);
+            let ev = parsed.events[0];
+            assert_eq!(&*i.resolve(ev.path), "/b");
+            assert_eq!(
+                (ev.start, ev.dur, ev.size),
+                (want_start, Micros(6), Some(1))
+            );
+        };
+        let i = Interner::new();
+        check(&parse_str(text, &i), &i);
+        for threads in [2, 3] {
+            let i = Interner::new();
+            check(&parse_par(text, &i, threads), &i);
+        }
+        let i = Interner::new();
+        check(&parse_reader(&mut text.as_bytes(), &i).unwrap(), &i);
     }
 
     #[test]

@@ -15,17 +15,27 @@
 //! several shapes: plain numbers, `-y`-annotated descriptors
 //! (`3</path>`), hex addresses, `-1 ENOENT (No such file or directory)`,
 //! and `?` for detached calls.
+//!
+//! [`parse_line`] is one forward byte cursor: pid, `-tt` timestamp and
+//! record shape, then [`scan::split_args`] from its position, then the
+//! return value, errno and `-T` duration where the arguments ended
+//! (columns are split at ASCII whitespace). Slices borrow from the line
+//! and arguments go into a scratch vector the caller reuses, so a
+//! warmed-up parse allocates nothing. `ERESTARTSYS` counts only in the
+//! errno position, never in a path.
 
 use st_model::Micros;
 
-use crate::scan::{self, ScannedArgs};
+use crate::scan::{self, find, is_space, skip_while, ArgsEnd};
 
-/// A classified trace line, borrowing from the input.
+/// A classified trace line, borrowing from the input; a record's
+/// arguments are in the scratch vector given to [`parse_line`].
 #[derive(Debug, PartialEq)]
 pub enum Line<'a> {
     /// A complete system call record.
     Call(ParsedCall<'a>),
-    /// A call whose record was interrupted (`<unfinished ...>`).
+    /// A call whose record was interrupted (`<unfinished ...>`); its
+    /// arguments are those recorded before the interruption.
     Unfinished {
         /// Pid column (None when traced without `-f`).
         pid: Option<u32>,
@@ -33,27 +43,28 @@ pub enum Line<'a> {
         start: Micros,
         /// Syscall name.
         name: &'a str,
-        /// Arguments recorded before the interruption.
-        args: Vec<&'a str>,
     },
     /// The completion of an earlier unfinished call
-    /// (`<... name resumed> ...`).
+    /// (`<... name resumed> ...`); its arguments are the remaining ones.
     Resumed {
         /// Pid column.
         pid: Option<u32>,
-        /// Timestamp of the *resumption* (not the call start).
-        time: Micros,
         /// Syscall name, must match the unfinished record.
         name: &'a str,
-        /// Remaining arguments.
-        args: Vec<&'a str>,
         /// Return value.
         ret: ReturnValue<'a>,
         /// Call duration (`-T`), covering the full call.
         dur: Option<Micros>,
     },
     /// A call interrupted with `ERESTARTSYS`; ignored per Sec. III.
-    Restarted,
+    Restarted {
+        /// Pid column.
+        pid: Option<u32>,
+        /// Syscall name.
+        name: &'a str,
+        /// A `<... name resumed>` record: it ends the pid's held call.
+        resumed: bool,
+    },
     /// A signal-stop record (`--- SIG... ---`).
     Signal,
     /// A process exit record (`+++ exited with N +++`).
@@ -67,7 +78,7 @@ pub enum Line<'a> {
     Empty,
 }
 
-/// A complete call record.
+/// A complete call record (arguments in [`parse_line`]'s scratch).
 #[derive(Debug, PartialEq)]
 pub struct ParsedCall<'a> {
     /// Pid column (None when traced without `-f`).
@@ -76,8 +87,6 @@ pub struct ParsedCall<'a> {
     pub start: Micros,
     /// Syscall name as spelled by strace.
     pub name: &'a str,
-    /// Top-level argument slices.
-    pub args: Vec<&'a str>,
     /// Return value.
     pub ret: ReturnValue<'a>,
     /// Call duration (`-T`).
@@ -125,194 +134,161 @@ impl<'a> ReturnValue<'a> {
     /// path-like.
     pub fn annotation_path(&self) -> Option<&'a str> {
         match self {
-            ReturnValue::NumAnnotated(_, ann)
-                if !ann.starts_with("socket:")
-                    && !ann.starts_with("pipe:")
-                    && !ann.starts_with("anon_inode:") =>
-            {
-                Some(ann)
-            }
+            ReturnValue::NumAnnotated(_, ann) if scan::is_path(ann) => Some(ann),
             _ => None,
         }
     }
 }
 
-/// Parses one trace line. Returns `None` for lines that match no known
-/// record shape (the caller converts that into a warning).
-pub fn parse_line(line: &str) -> Option<Line<'_>> {
-    let trimmed = line.trim_end();
-    if trimmed.trim().is_empty() {
+/// Parses one trace line, replacing the contents of `args` with the
+/// record's top-level argument slices. Returns `None` for lines that
+/// match no known record shape (the caller converts that into a
+/// warning).
+pub fn parse_line<'a>(line: &'a str, args: &mut Vec<&'a str>) -> Option<Line<'a>> {
+    args.clear();
+    let bytes = line.as_bytes();
+    let mut pos = skip_while(bytes, 0, is_space);
+    if pos == bytes.len() {
         return Some(Line::Empty);
     }
 
-    let mut rest = trimmed;
-
     // Optional pid column: digits followed by whitespace.
-    let pid = match rest.split_whitespace().next() {
-        Some(tok) if !tok.is_empty() && tok.bytes().all(|b| b.is_ascii_digit()) => {
-            let pid: u32 = tok.parse().ok()?;
-            rest = rest[rest.find(tok).unwrap() + tok.len()..].trim_start();
+    let digits = skip_while(bytes, pos, |b| b.is_ascii_digit());
+    let pid = match bytes.get(digits) {
+        Some(&b) if digits > pos && is_space(b) => {
+            let pid = u32::try_from(decimal(&bytes[pos..digits])?).ok()?;
+            pos = skip_while(bytes, digits, is_space);
             Some(pid)
         }
         _ => None,
     };
 
     // Mandatory timestamp column (-tt).
-    let ts_tok = rest.split_whitespace().next()?;
-    let start = Micros::parse_time_of_day(ts_tok)?;
-    rest = rest[rest.find(ts_tok).unwrap() + ts_tok.len()..].trim_start();
+    let ts_end = skip_while(bytes, pos, |b| !is_space(b));
+    let start = time_of_day(&line[pos..ts_end])?;
+    pos = skip_while(bytes, ts_end, is_space);
 
-    if let Some(exit) = rest.strip_prefix("+++") {
-        let code = exit
+    let rest = &bytes[pos..];
+    if rest.starts_with(b"+++") {
+        let code = line[pos + 3..]
             .trim()
             .strip_prefix("exited with")
             .and_then(|s| s.split_whitespace().next())
             .and_then(|s| s.parse().ok());
         return Some(Line::Exit { pid, code });
     }
-
-    if rest.starts_with("---") {
+    if rest.starts_with(b"---") {
         return Some(Line::Signal);
     }
-
-    if let Some(resumed) = rest.strip_prefix("<... ") {
-        let name_end = resumed.find(" resumed>")?;
-        let name = &resumed[..name_end];
-        let tail = &resumed[name_end + " resumed>".len()..];
-        // The tail is the continuation of the argument list; it may begin
-        // mid-args (", 405) = 404 <0.000223>") or at the closing paren.
-        let scanned = scan_continuation(tail)?;
-        let after = &tail[scanned.after..];
-        let (ret, errno, dur) = parse_return(after)?;
-        if errno == Some(RESTARTED) {
-            return Some(Line::Restarted);
+    let resumed = rest.starts_with(b"<... ");
+    let (name, after) = if resumed {
+        let name_start = pos + "<... ".len();
+        let name_end = name_start + line[name_start..].find(" resumed>")?;
+        // The continuation of the argument list; it may begin mid-args
+        // (", 405) = 404 <0.000223>") or at the closing paren.
+        match scan::split_args(line, name_end + " resumed>".len(), args)? {
+            ArgsEnd::Closed(after) => (&line[name_start..name_end], after),
+            ArgsEnd::Unfinished => return None,
         }
-        return Some(Line::Resumed {
+    } else {
+        // NAME(args...) = ret <dur>   |   NAME(args <unfinished ...>
+        let open = skip_while(bytes, pos, |b| {
+            b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_'
+        });
+        if open == pos || bytes.get(open) != Some(&b'(') {
+            return None;
+        }
+        let name = &line[pos..open];
+        match scan::split_args(line, open + 1, args)? {
+            ArgsEnd::Closed(after) => (name, after),
+            ArgsEnd::Unfinished => return Some(Line::Unfinished { pid, start, name }),
+        }
+    };
+    let (ret, errno, dur) = parse_return(line, after)?;
+    Some(if errno == Some(RESTARTED) {
+        Line::Restarted { pid, name, resumed }
+    } else if resumed {
+        Line::Resumed {
             pid,
-            time: start,
             name,
-            args: scanned.args,
             ret,
             dur,
-        });
-    }
-
-    // Ordinary call: NAME(args...) = ret <dur>   |   NAME(args <unfinished ...>
-    let open = rest.find('(')?;
-    let name = &rest[..open];
-    if name.is_empty()
-        || !name
-            .bytes()
-            .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
-    {
-        return None;
-    }
-    let scanned = scan::split_args(rest, open + 1)?;
-    if scanned.unfinished {
-        return Some(Line::Unfinished {
+        }
+    } else {
+        Line::Call(ParsedCall {
             pid,
             start,
             name,
-            args: scanned.args,
-        });
-    }
-    let after = &rest[scanned.after..];
-    let (ret, errno, dur) = parse_return(after)?;
-    if errno == Some(RESTARTED) {
-        return Some(Line::Restarted);
-    }
-    Some(Line::Call(ParsedCall {
-        pid,
-        start,
-        name,
-        args: scanned.args,
-        ret,
-        dur,
-    }))
-}
-
-/// Scans a resumed-record continuation, which is an argument list that is
-/// already inside the parentheses.
-fn scan_continuation(tail: &str) -> Option<ScannedArgs<'_>> {
-    // Delegate to split_args starting at offset 0 of the tail; it stops at
-    // the matching top-level ')'.
-    scan::split_args(tail, 0)
+            ret,
+            dur,
+        })
+    })
 }
 
 /// The errno of an interrupted call; the Sec. III rule ignores such
 /// records.
 const RESTARTED: &str = "ERESTARTSYS";
 
-/// Parses the `= ret [ERRNO (message)] [<dur>]` tail after the closing
-/// parenthesis. The errno token is returned on its own as well, because
-/// a `?` return has no numeric value to carry it.
-fn parse_return(s: &str) -> Option<(ReturnValue<'_>, Option<&str>, Option<Micros>)> {
-    let s = s.trim_start();
-    let s = s.strip_prefix('=')?;
-    let s = s.trim_start();
+/// Parses the `= ret [ERRNO (message)] [<dur>]` tail that starts at byte
+/// `pos`, just after the closing parenthesis. The errno token is
+/// returned on its own as well, because a `?` return has no numeric
+/// value to carry it.
+fn parse_return(line: &str, pos: usize) -> Option<(ReturnValue<'_>, Option<&str>, Option<Micros>)> {
+    let bytes = line.as_bytes();
+    let mut pos = skip_while(bytes, pos, is_space);
+    if bytes.get(pos) != Some(&b'=') {
+        return None;
+    }
+    pos = skip_while(bytes, pos + 1, is_space);
 
-    let (ret, rest) = if let Some(hex) = s.strip_prefix("0x") {
-        let end = hex
-            .bytes()
-            .position(|b| !b.is_ascii_hexdigit())
-            .unwrap_or(hex.len());
-        let val = u64::from_str_radix(&hex[..end], 16).ok()?;
-        (ReturnValue::Hex(val), &hex[end..])
-    } else if let Some(rest) = s.strip_prefix('?') {
-        (ReturnValue::Unknown, rest)
+    let mut ret = if bytes[pos..].starts_with(b"0x") {
+        let end = skip_while(bytes, pos + 2, |b| b.is_ascii_hexdigit());
+        let val = u64::from_str_radix(&line[pos + 2..end], 16).ok()?;
+        pos = end;
+        ReturnValue::Hex(val)
+    } else if bytes.get(pos) == Some(&b'?') {
+        pos += 1;
+        ReturnValue::Unknown
     } else {
-        let negative = s.starts_with('-');
-        let digits = if negative { &s[1..] } else { s };
-        let end = digits
-            .bytes()
-            .position(|b| !b.is_ascii_digit())
-            .unwrap_or(digits.len());
-        if end == 0 {
+        let digits = pos + usize::from(bytes.get(pos) == Some(&b'-'));
+        let end = skip_while(bytes, digits, |b| b.is_ascii_digit());
+        if end == digits {
             return None;
         }
-        let mut val: i64 = digits[..end].parse().ok()?;
-        if negative {
-            val = -val;
-        }
-        let rest = &digits[end..];
+        let val = i64::try_from(decimal(&bytes[digits..end])?).ok()?;
+        let val = if digits > pos { -val } else { val };
+        pos = end;
         // Annotation glued to the number: `3</path>`.
-        if let Some(ann_rest) = rest.strip_prefix('<') {
-            let close = ann_rest.find('>')?;
-            (
-                ReturnValue::NumAnnotated(val, &ann_rest[..close]),
-                &ann_rest[close + 1..],
-            )
+        if bytes.get(pos) == Some(&b'<') {
+            let close = find(bytes, pos + 1, b'>')?;
+            let ann = &line[pos + 1..close];
+            pos = close + 1;
+            ReturnValue::NumAnnotated(val, ann)
         } else {
-            (ReturnValue::Num(val), rest)
+            ReturnValue::Num(val)
         }
     };
-
-    let mut rest = rest.trim_start();
+    pos = skip_while(bytes, pos, is_space);
 
     // Optional errno symbol + message: `ENOENT (No such file or directory)`.
-    let mut ret = ret;
     let mut errno = None;
-    if rest.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
-        let end = rest
-            .bytes()
-            .position(|b| !(b.is_ascii_uppercase() || b.is_ascii_digit()))
-            .unwrap_or(rest.len());
-        let name = &rest[..end];
+    if bytes.get(pos).is_some_and(u8::is_ascii_uppercase) {
+        let end = skip_while(bytes, pos, |b| b.is_ascii_uppercase() || b.is_ascii_digit());
+        let name = &line[pos..end];
         errno = Some(name);
         if let Some(code) = ret.value() {
             ret = ReturnValue::Error { code, name };
         }
-        rest = rest[end..].trim_start();
-        if let Some(msg) = rest.strip_prefix('(') {
-            let close = msg.find(')')?;
-            rest = msg[close + 1..].trim_start();
+        pos = skip_while(bytes, end, is_space);
+        if bytes.get(pos) == Some(&b'(') {
+            pos = skip_while(bytes, find(bytes, pos + 1, b')')? + 1, is_space);
         }
     }
 
     // Optional duration `<0.000203>` at the end.
-    let dur = if let Some(d) = rest.strip_prefix('<') {
-        let close = d.find('>')?;
-        Some(Micros::parse_duration(&d[..close])?)
+    let dur = if bytes.get(pos) == Some(&b'<') {
+        let close = find(bytes, pos + 1, b'>')?;
+        Some(duration(&line[pos + 1..close])?)
     } else {
         None
     };
@@ -320,23 +296,65 @@ fn parse_return(s: &str) -> Option<(ReturnValue<'_>, Option<&str>, Option<Micros
     Some((ret, errno, dur))
 }
 
+/// [`Micros::parse_time_of_day`], reading strace's `HH:MM:SS.ffffff`
+/// shape straight from its bytes.
+fn time_of_day(tok: &str) -> Option<Micros> {
+    let b = tok.as_bytes();
+    if let [_, _, b':', _, _, b':', _, _, b'.', _, _, _, _, _, _] = b {
+        let (h, m) = (decimal(&b[..2])?, decimal(&b[3..5])?);
+        let (s, frac) = (decimal(&b[6..8])?, decimal(&b[9..])?);
+        return (h <= 23 && m <= 59 && s <= 60)
+            .then(|| Micros(((h * 60 + m) * 60 + s) * 1_000_000 + frac));
+    }
+    Micros::parse_time_of_day(tok)
+}
+
+/// [`Micros::parse_duration`], reading the `-T` shape `S.ffffff` straight
+/// from its bytes.
+fn duration(tok: &str) -> Option<Micros> {
+    let b = tok.as_bytes();
+    match b.len().checked_sub(7) {
+        Some(dot @ 1..=6) if b[dot] == b'.' => Some(Micros(
+            decimal(&b[..dot])? * 1_000_000 + decimal(&b[dot + 1..])?,
+        )),
+        _ => Micros::parse_duration(tok),
+    }
+}
+
+/// The value of a run of ASCII digits; `None` on any other byte or on
+/// overflow.
+fn decimal(digits: &[u8]) -> Option<u64> {
+    digits.iter().try_fold(0u64, |val, &d| {
+        let d = d.checked_sub(b'0').filter(|d| *d <= 9)?;
+        val.checked_mul(10)?.checked_add(u64::from(d))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Parses `line` with a fresh scratch vector: the record and its
+    /// arguments.
+    fn parse(line: &str) -> (Option<Line<'_>>, Vec<&str>) {
+        let mut args = Vec::new();
+        let record = parse_line(line, &mut args);
+        (record, args)
+    }
+
     #[test]
     fn parses_fig2a_complete_read() {
         let line = "9054  08:55:54.153994 read(3</usr/lib/x86_64-linux-gnu/libselinux.so.1>, \"...\", 832) = 832 <0.000203>";
-        match parse_line(line).unwrap() {
-            Line::Call(c) => {
+        match parse(line) {
+            (Some(Line::Call(c)), args) => {
                 assert_eq!(c.pid, Some(9054));
                 assert_eq!(
                     c.start,
                     Micros::parse_time_of_day("08:55:54.153994").unwrap()
                 );
                 assert_eq!(c.name, "read");
-                assert_eq!(c.args[0], "3</usr/lib/x86_64-linux-gnu/libselinux.so.1>");
-                assert_eq!(c.args[2], "832");
+                assert_eq!(args[0], "3</usr/lib/x86_64-linux-gnu/libselinux.so.1>");
+                assert_eq!(args[2], "832");
                 assert_eq!(c.ret, ReturnValue::Num(832));
                 assert_eq!(c.dur, Some(Micros(203)));
             }
@@ -347,10 +365,10 @@ mod tests {
     #[test]
     fn parses_eof_read_with_empty_buffer() {
         let line = "9054  08:55:54.163049 read(3</proc/filesystems>, \"\", 1024) = 0 <0.000040>";
-        match parse_line(line).unwrap() {
-            Line::Call(c) => {
+        match parse(line) {
+            (Some(Line::Call(c)), args) => {
                 assert_eq!(c.ret, ReturnValue::Num(0));
-                assert_eq!(c.args[1], "\"\"");
+                assert_eq!(args[1], "\"\"");
             }
             other => panic!("{other:?}"),
         }
@@ -359,8 +377,8 @@ mod tests {
     #[test]
     fn parses_openat_with_annotated_return() {
         let line = "123 10:00:00.000001 openat(AT_FDCWD, \"/etc/passwd\", O_RDONLY|O_CLOEXEC) = 3</etc/passwd> <0.000012>";
-        match parse_line(line).unwrap() {
-            Line::Call(c) => {
+        match parse(line) {
+            (Some(Line::Call(c)), _) => {
                 assert_eq!(c.name, "openat");
                 assert_eq!(c.ret, ReturnValue::NumAnnotated(3, "/etc/passwd"));
                 assert_eq!(c.ret.annotation_path(), Some("/etc/passwd"));
@@ -373,8 +391,8 @@ mod tests {
     #[test]
     fn parses_failed_openat() {
         let line = "123 10:00:00.000001 openat(AT_FDCWD, \"/opt/x/libfoo.so\", O_RDONLY|O_CLOEXEC) = -1 ENOENT (No such file or directory) <0.000007>";
-        match parse_line(line).unwrap() {
-            Line::Call(c) => {
+        match parse(line) {
+            (Some(Line::Call(c)), _) => {
                 assert_eq!(
                     c.ret,
                     ReturnValue::Error {
@@ -392,10 +410,8 @@ mod tests {
     #[test]
     fn parses_unfinished_fig2c() {
         let line = "77423  16:56:40.452431 read(3</usr/lib/x86_64-linux-gnu/libselinux.so.1>, <unfinished ...>";
-        match parse_line(line).unwrap() {
-            Line::Unfinished {
-                pid, name, args, ..
-            } => {
+        match parse(line) {
+            (Some(Line::Unfinished { pid, name, .. }), args) => {
                 assert_eq!(pid, Some(77423));
                 assert_eq!(name, "read");
                 assert_eq!(args.len(), 1);
@@ -407,15 +423,17 @@ mod tests {
     #[test]
     fn parses_resumed_fig2c() {
         let line = "77423  16:56:40.452660 <... read resumed> \"...\", 405) = 404 <0.000223>";
-        match parse_line(line).unwrap() {
-            Line::Resumed {
-                pid,
-                name,
+        match parse(line) {
+            (
+                Some(Line::Resumed {
+                    pid,
+                    name,
+                    ret,
+                    dur,
+                    ..
+                }),
                 args,
-                ret,
-                dur,
-                ..
-            } => {
+            ) => {
                 assert_eq!(pid, Some(77423));
                 assert_eq!(name, "read");
                 assert_eq!(args, vec!["\"...\"", "405"]);
@@ -430,8 +448,8 @@ mod tests {
     fn parses_resumed_with_bare_ellipsis() {
         // The paper prints the resumed buffer as a bare `...`.
         let line = "77423  16:56:40.452660 <... read resumed> ..., 405) = 404 <0.000223>";
-        match parse_line(line).unwrap() {
-            Line::Resumed { args, .. } => assert_eq!(args, vec!["...", "405"]),
+        match parse(line) {
+            (Some(Line::Resumed { .. }), args) => assert_eq!(args, vec!["...", "405"]),
             other => panic!("{other:?}"),
         }
     }
@@ -439,51 +457,61 @@ mod tests {
     #[test]
     fn parses_exit_and_signal() {
         assert_eq!(
-            parse_line("9054 08:55:54.200000 +++ exited with 0 +++").unwrap(),
-            Line::Exit {
+            parse("9054 08:55:54.200000 +++ exited with 0 +++").0,
+            Some(Line::Exit {
                 pid: Some(9054),
                 code: Some(0)
-            }
+            })
         );
-        assert!(matches!(
-            parse_line(
-                "9054 08:55:54.100000 --- SIGCHLD {si_signo=SIGCHLD, si_code=CLD_EXITED} ---"
-            )
-            .unwrap(),
-            Line::Signal
-        ));
+        assert_eq!(
+            parse("9054 08:55:54.100000 --- SIGCHLD {si_signo=SIGCHLD, si_code=CLD_EXITED} ---").0,
+            Some(Line::Signal)
+        );
     }
 
     #[test]
     fn erestartsys_is_flagged() {
         let line = "9054 08:55:54.100000 read(3</x>, \"\", 10) = ? ERESTARTSYS (To be restarted if SA_RESTART is set) <0.5>";
-        assert_eq!(parse_line(line).unwrap(), Line::Restarted);
+        assert_eq!(
+            parse(line).0,
+            Some(Line::Restarted {
+                pid: Some(9054),
+                name: "read",
+                resumed: false
+            })
+        );
     }
 
     #[test]
     fn erestartsys_counts_only_in_the_errno_position() {
-        // A plain and a resumed record carrying the errno are dropped.
-        for line in [
-            "9 08:00:00.000001 read(3</x>, \"\", 10) = ? ERESTARTSYS (To be restarted)",
-            "9 08:00:00.000002 <... read resumed> \"\", 10) = ? ERESTARTSYS (To be restarted) <0.000004>",
+        // A plain and a resumed record carrying the errno are dropped;
+        // the resumed one keeps the pid and name its partner is held by.
+        for (line, resumed) in [
+            ("9 08:00:00.000001 read(3</x>, \"\", 10) = ? ERESTARTSYS (To be restarted)", false),
+            ("9 08:00:00.000002 <... read resumed> \"\", 10) = ? ERESTARTSYS (To be restarted) <0.000004>", true),
         ] {
-            assert_eq!(parse_line(line).unwrap(), Line::Restarted, "{line}");
+            let want = Line::Restarted {
+                pid: Some(9),
+                name: "read",
+                resumed,
+            };
+            assert_eq!(parse(line).0, Some(want), "{line}");
         }
         // A path that merely contains the keyword is an ordinary call.
         let line = "9 08:00:00.000003 read(3</tmp/ERESTARTSYS.log>, \"\", 10) = 0 <0.000001>";
-        match parse_line(line).unwrap() {
-            Line::Call(c) => assert_eq!(c.args[0], "3</tmp/ERESTARTSYS.log>"),
+        match parse(line) {
+            (Some(Line::Call(_)), args) => assert_eq!(args[0], "3</tmp/ERESTARTSYS.log>"),
             other => panic!("{other:?}"),
         }
         let line = "9 08:00:00.000004 openat(AT_FDCWD, \"/tmp/ERESTARTSYS.log\", O_RDONLY) = 3</tmp/ERESTARTSYS.log> <0.000002>";
-        assert!(matches!(parse_line(line).unwrap(), Line::Call(_)));
+        assert!(matches!(parse(line).0, Some(Line::Call(_))));
     }
 
     #[test]
     fn pid_column_is_optional() {
         let line = "08:55:54.153994 read(3</x>, \"\", 10) = 0 <0.000001>";
-        match parse_line(line).unwrap() {
-            Line::Call(c) => assert_eq!(c.pid, None),
+        match parse(line).0 {
+            Some(Line::Call(c)) => assert_eq!(c.pid, None),
             other => panic!("{other:?}"),
         }
     }
@@ -491,19 +519,19 @@ mod tests {
     #[test]
     fn lseek_and_pwrite_records() {
         let line = "50 09:00:00.000001 lseek(3</scratch/testfile>, 16777216, SEEK_SET) = 16777216 <0.000004>";
-        match parse_line(line).unwrap() {
-            Line::Call(c) => {
+        match parse(line) {
+            (Some(Line::Call(c)), args) => {
                 assert_eq!(c.name, "lseek");
-                assert_eq!(c.args, vec!["3</scratch/testfile>", "16777216", "SEEK_SET"]);
+                assert_eq!(args, vec!["3</scratch/testfile>", "16777216", "SEEK_SET"]);
                 assert_eq!(c.ret, ReturnValue::Num(16777216));
             }
             other => panic!("{other:?}"),
         }
         let line = "50 09:00:00.000100 pwrite64(3</scratch/testfile>, \"...\"..., 1048576, 16777216) = 1048576 <0.000301>";
-        match parse_line(line).unwrap() {
-            Line::Call(c) => {
+        match parse(line) {
+            (Some(Line::Call(c)), args) => {
                 assert_eq!(c.name, "pwrite64");
-                assert_eq!(c.args.len(), 4);
+                assert_eq!(args.len(), 4);
                 assert_eq!(c.ret, ReturnValue::Num(1048576));
             }
             other => panic!("{other:?}"),
@@ -513,8 +541,8 @@ mod tests {
     #[test]
     fn hex_return_mmap() {
         let line = "50 09:00:00.000001 mmap(NULL, 8192, PROT_READ, MAP_PRIVATE, 3</x/y.so>, 0) = 0x7f2c4a000000 <0.000009>";
-        match parse_line(line).unwrap() {
-            Line::Call(c) => assert_eq!(c.ret, ReturnValue::Hex(0x7f2c4a000000)),
+        match parse(line).0 {
+            Some(Line::Call(c)) => assert_eq!(c.ret, ReturnValue::Hex(0x7f2c4a000000)),
             other => panic!("{other:?}"),
         }
     }
@@ -522,8 +550,8 @@ mod tests {
     #[test]
     fn unknown_return_detached() {
         let line = "50 09:00:00.000001 read(3</x>, \"\", 10) = ?";
-        match parse_line(line).unwrap() {
-            Line::Call(c) => {
+        match parse(line).0 {
+            Some(Line::Call(c)) => {
                 assert_eq!(c.ret, ReturnValue::Unknown);
                 assert_eq!(c.dur, None);
             }
@@ -539,14 +567,25 @@ mod tests {
             "50 09:00:00.000001 read(3</x>, \"\", 10)", // missing `=`
             "50 09:00:00.000001 READ(3) = 0",           // uppercase name
             "50 bogus read(3) = 0",
+            "99999999999 09:00:00.000001 read(3) = 0", // pid overflows u32
+            "50 09:00:00.000001 <... read resumed> <unfinished ...>",
         ] {
-            assert!(parse_line(line).is_none(), "accepted {line:?}");
+            assert!(parse(line).0.is_none(), "accepted {line:?}");
         }
     }
 
     #[test]
     fn empty_lines() {
-        assert_eq!(parse_line("").unwrap(), Line::Empty);
-        assert_eq!(parse_line("   \n").unwrap(), Line::Empty);
+        assert_eq!(parse("").0, Some(Line::Empty));
+        assert_eq!(parse("   \n").0, Some(Line::Empty));
+    }
+
+    #[test]
+    fn scratch_vector_is_replaced_per_line() {
+        let mut args = vec!["stale"];
+        parse_line("9 08:00:00.000001 read(3</a>, \"\", 10) = 0", &mut args).unwrap();
+        assert_eq!(args, vec!["3</a>", "\"\"", "10"]);
+        parse_line("9 08:00:00.000002 +++ exited with 0 +++", &mut args).unwrap();
+        assert!(args.is_empty());
     }
 }

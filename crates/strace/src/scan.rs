@@ -1,4 +1,4 @@
-//! Low-level tokenizer for strace call argument lists.
+//! Byte-level tokenizer for strace call argument lists.
 //!
 //! strace argument lists are almost-but-not-quite CSV: commas separate
 //! top-level arguments, but commas also appear inside
@@ -10,42 +10,48 @@
 //! * struct arguments `{st_mode=S_IFREG|0644, st_size=512, ...}`,
 //! * array arguments `[{iov_base=..., iov_len=832}]`.
 //!
-//! [`split_args`] walks the byte string once, tracking those contexts, and
-//! returns top-level argument slices plus whether the list ended with the
-//! `<unfinished ...>` marker instead of a closing parenthesis.
+//! [`split_args`] is the argument stage of the [`crate::record`] cursor:
+//! one forward read from the cursor's position, tracking those contexts,
+//! that pushes each top-level argument into the caller's reused scratch
+//! vector and says where the list ended (after `)` or at the
+//! `<unfinished ...>` marker).
 
-/// Result of scanning an argument list.
-#[derive(Debug, PartialEq, Eq)]
-pub struct ScannedArgs<'a> {
-    /// Top-level argument slices, trimmed.
-    pub args: Vec<&'a str>,
-    /// Byte offset just *after* the closing `)` (meaningless when
-    /// `unfinished`).
-    pub after: usize,
-    /// The list ended with `<unfinished ...>` — no closing paren, no
+/// Where an argument list scanned by [`split_args`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArgsEnd {
+    /// At the top-level `)`; the value is the byte offset just after it.
+    Closed(usize),
+    /// At the `<unfinished ...>` marker: no closing parenthesis and no
     /// return value on this line.
-    pub unfinished: bool,
+    Unfinished,
 }
 
-/// Splits the argument list starting right after the opening parenthesis.
+/// Splits the argument list that starts at byte `start` of `input` (one
+/// past the `(`, or where a resumed record's continuation begins).
 ///
-/// `input` is the full line; `start` is the byte index one past `(`.
-/// Returns `None` when the text ends before the argument list is closed
+/// The top-level arguments, trimmed and non-empty, are appended to
+/// `args`. Returns `None` when the text ends before the list is closed
 /// (malformed record).
-pub fn split_args(input: &str, start: usize) -> Option<ScannedArgs<'_>> {
+pub fn split_args<'a>(input: &'a str, start: usize, args: &mut Vec<&'a str>) -> Option<ArgsEnd> {
     let bytes = input.as_bytes();
-    let mut args = Vec::new();
     let mut pos = start;
     let mut arg_start = start;
     let mut depth = 0usize; // nesting inside {} []
-    let unfinished_marker = b"<unfinished ...>";
-
-    while pos < bytes.len() {
-        match bytes[pos] {
+    loop {
+        while pos < bytes.len()
+            && !matches!(
+                bytes[pos],
+                b'"' | b'{' | b'}' | b'[' | b']' | b'<' | b',' | b')'
+            )
+        {
+            pos += 1;
+        }
+        let &b = bytes.get(pos)?;
+        match b {
             b'"' => {
                 pos = skip_quoted(bytes, pos)?;
                 // Truncation ellipsis directly after the closing quote.
-                while pos < bytes.len() && bytes[pos] == b'.' {
+                while bytes.get(pos) == Some(&b'.') {
                     pos += 1;
                 }
             }
@@ -57,72 +63,75 @@ pub fn split_args(input: &str, start: usize) -> Option<ScannedArgs<'_>> {
                 depth = depth.saturating_sub(1);
                 pos += 1;
             }
-            b'<' => {
-                if bytes[pos..].starts_with(unfinished_marker) {
-                    // `read(3</path>, <unfinished ...>`
-                    let arg = input[arg_start..pos].trim();
-                    if !arg.is_empty() {
-                        args.push(arg);
-                    }
-                    return Some(ScannedArgs {
-                        args,
-                        after: bytes.len(),
-                        unfinished: true,
-                    });
-                }
-                // fd annotation `3</path>` or a dup2-style `<...>`:
-                // skip to the closing `>`.
-                pos = skip_angle(bytes, pos)?;
+            b'<' if bytes.get(pos + 1) == Some(&b'u')
+                && bytes[pos..].starts_with(b"<unfinished ...>") =>
+            {
+                // `read(3</path>, <unfinished ...>`
+                push_arg(input, arg_start, pos, args);
+                return Some(ArgsEnd::Unfinished);
             }
-            b',' if depth == 0 => {
-                let arg = input[arg_start..pos].trim();
-                if !arg.is_empty() {
-                    args.push(arg);
-                }
+            // fd annotation `3</path>` or a dup2-style `<...>`: skip to
+            // the first `>`.
+            b'<' => pos = find(bytes, pos + 1, b'>')? + 1,
+            b',' | b')' if depth == 0 => {
+                push_arg(input, arg_start, pos, args);
                 pos += 1;
+                if b == b')' {
+                    return Some(ArgsEnd::Closed(pos));
+                }
                 arg_start = pos;
             }
-            b')' if depth == 0 => {
-                let arg = input[arg_start..pos].trim();
-                if !arg.is_empty() {
-                    args.push(arg);
-                }
-                return Some(ScannedArgs {
-                    args,
-                    after: pos + 1,
-                    unfinished: false,
-                });
-            }
-            _ => pos += 1,
+            _ => pos += 1, // `,` or `)` inside braces
         }
     }
-    None
+}
+
+/// Pushes `input[start..end]`, trimmed, unless it is empty.
+fn push_arg<'a>(input: &'a str, mut start: usize, mut end: usize, args: &mut Vec<&'a str>) {
+    let bytes = input.as_bytes();
+    while start < end && is_space(bytes[start]) {
+        start += 1;
+    }
+    while end > start && is_space(bytes[end - 1]) {
+        end -= 1;
+    }
+    if end > start {
+        args.push(&input[start..end]);
+    }
 }
 
 /// Skips a quoted string starting at the opening quote; returns the index
 /// one past the closing quote.
 fn skip_quoted(bytes: &[u8], open: usize) -> Option<usize> {
     let mut pos = open + 1;
-    while pos < bytes.len() {
-        match bytes[pos] {
-            b'\\' => pos += 2,
-            b'"' => return Some(pos + 1),
-            _ => pos += 1,
-        }
-    }
-    None
-}
-
-/// Skips a `<...>` annotation starting at `<`; returns one past `>`.
-fn skip_angle(bytes: &[u8], open: usize) -> Option<usize> {
-    let mut pos = open + 1;
-    while pos < bytes.len() {
-        if bytes[pos] == b'>' {
+    loop {
+        pos += bytes
+            .get(pos..)?
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')?;
+        if bytes[pos] == b'"' {
             return Some(pos + 1);
         }
-        pos += 1;
+        pos += 2; // an escape and the byte it escapes
     }
-    None
+}
+
+/// The ASCII whitespace strace separates columns and arguments with.
+#[inline]
+pub(crate) fn is_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t'..=b'\r')
+}
+
+/// The first index at or after `pos` whose byte fails `keep`.
+#[inline]
+pub(crate) fn skip_while(bytes: &[u8], pos: usize, keep: impl Fn(u8) -> bool) -> usize {
+    pos + bytes[pos..].iter().take_while(|&&b| keep(b)).count()
+}
+
+/// The index of the first `needle` at or after `pos`.
+#[inline]
+pub(crate) fn find(bytes: &[u8], pos: usize, needle: u8) -> Option<usize> {
+    Some(pos + bytes.get(pos..)?.iter().position(|&b| b == needle)?)
 }
 
 /// Extracts the path from an fd annotation argument `3</usr/lib/x.so>`,
@@ -141,10 +150,15 @@ pub fn fd_annotation_path(arg: &str) -> Option<&str> {
         return None;
     }
     let path = &arg[open + 1..close];
-    if path.starts_with("socket:") || path.starts_with("pipe:") || path.starts_with("anon_inode:") {
-        return None;
-    }
-    Some(path)
+    is_path(path).then_some(path)
+}
+
+/// Whether an fd annotation names a file, not a socket, pipe or
+/// anonymous inode.
+pub(crate) fn is_path(annotation: &str) -> bool {
+    !["socket:", "pipe:", "anon_inode:"]
+        .iter()
+        .any(|p| annotation.starts_with(p))
 }
 
 /// Extracts the contents of a quoted-string argument (`"/etc/passwd"` →
@@ -152,20 +166,10 @@ pub fn fd_annotation_path(arg: &str) -> Option<&str> {
 /// need unescaping for substring queries. Returns `None` for non-quoted
 /// arguments.
 pub fn quoted_contents(arg: &str) -> Option<&str> {
-    let rest = arg.strip_prefix('"')?;
-    let end = {
-        // Find the closing quote, honoring escapes.
-        let bytes = rest.as_bytes();
-        let mut pos = 0;
-        loop {
-            match bytes.get(pos)? {
-                b'\\' => pos += 2,
-                b'"' => break pos,
-                _ => pos += 1,
-            }
-        }
-    };
-    Some(&rest[..end])
+    if !arg.starts_with('"') {
+        return None;
+    }
+    Some(&arg[1..skip_quoted(arg.as_bytes(), 0)? - 1])
 }
 
 /// Parses a decimal unsigned integer argument (`1024`), tolerating
@@ -181,63 +185,68 @@ pub fn numeric_arg(arg: &str) -> Option<u64> {
 mod tests {
     use super::*;
 
-    fn scan(line: &str) -> ScannedArgs<'_> {
+    fn scan(line: &str) -> (Vec<&str>, ArgsEnd) {
         let open = line.find('(').unwrap();
-        split_args(line, open + 1).unwrap()
+        let mut args = Vec::new();
+        let end = split_args(line, open + 1, &mut args).unwrap();
+        (args, end)
     }
 
     #[test]
     fn splits_simple_read() {
-        let s = scan(r#"read(3</usr/lib/x.so.1>, "..."..., 832) = 832"#);
+        let line = r#"read(3</usr/lib/x.so.1>, "..."..., 832) = 832"#;
+        let (args, end) = scan(line);
         // The truncation ellipsis stays attached to the buffer argument.
-        assert_eq!(s.args, vec!["3</usr/lib/x.so.1>", r#""..."..."#, "832"]);
-        assert!(!s.unfinished);
+        assert_eq!(args, vec!["3</usr/lib/x.so.1>", r#""..."..."#, "832"]);
+        assert_eq!(end, ArgsEnd::Closed(line.find(')').unwrap() + 1));
     }
 
     #[test]
     fn quoted_commas_do_not_split() {
-        let s = scan(r#"write(1</dev/pts/7>, "a,b\"c,d", 7) = 7"#);
-        assert_eq!(s.args.len(), 3);
-        assert_eq!(s.args[1], r#""a,b\"c,d""#);
+        let (args, _) = scan(r#"write(1</dev/pts/7>, "a,b\"c,d", 7) = 7"#);
+        assert_eq!(args.len(), 3);
+        assert_eq!(args[1], r#""a,b\"c,d""#);
     }
 
     #[test]
     fn empty_buffer_eof_read() {
         // Fig. 2a: read(3</proc/filesystems>, "", 1024) = 0
-        let s = scan(r#"read(3</proc/filesystems>, "", 1024) = 0"#);
-        assert_eq!(s.args, vec!["3</proc/filesystems>", r#""""#, "1024"]);
+        let (args, _) = scan(r#"read(3</proc/filesystems>, "", 1024) = 0"#);
+        assert_eq!(args, vec!["3</proc/filesystems>", r#""""#, "1024"]);
     }
 
     #[test]
     fn struct_and_array_args() {
-        let s = scan(r#"openat(AT_FDCWD, "/etc/ld.so.cache", O_RDONLY|O_CLOEXEC) = 3"#);
-        assert_eq!(s.args.len(), 3);
-        let s = scan(r#"fstat(3</x>, {st_mode=S_IFREG|0644, st_size=14, ...}) = 0"#);
-        assert_eq!(s.args.len(), 2);
-        let s =
+        let (args, _) = scan(r#"openat(AT_FDCWD, "/etc/ld.so.cache", O_RDONLY|O_CLOEXEC) = 3"#);
+        assert_eq!(args.len(), 3);
+        let (args, _) = scan(r#"fstat(3</x>, {st_mode=S_IFREG|0644, st_size=14, ...}) = 0"#);
+        assert_eq!(args.len(), 2);
+        let (args, _) =
             scan(r#"writev(4</y>, [{iov_base="a", iov_len=1}, {iov_base="b", iov_len=1}], 2) = 2"#);
-        assert_eq!(s.args.len(), 3);
+        assert_eq!(args.len(), 3);
     }
 
     #[test]
     fn unfinished_marker_detected() {
         // Fig. 2c first line.
         let line = r#"read(3</usr/lib/x86_64-linux-gnu/libselinux.so.1>, <unfinished ...>"#;
-        let s = scan(line);
-        assert!(s.unfinished);
-        assert_eq!(s.args, vec!["3</usr/lib/x86_64-linux-gnu/libselinux.so.1>"]);
+        let (args, end) = scan(line);
+        assert_eq!(end, ArgsEnd::Unfinished);
+        assert_eq!(args, vec!["3</usr/lib/x86_64-linux-gnu/libselinux.so.1>"]);
     }
 
     #[test]
     fn paths_with_commas_inside_annotation() {
-        let s = scan(r#"read(3</data/weird,name.txt>, "", 10) = 0"#);
-        assert_eq!(s.args[0], "3</data/weird,name.txt>");
+        let (args, _) = scan(r#"read(3</data/weird,name.txt>, "", 10) = 0"#);
+        assert_eq!(args[0], "3</data/weird,name.txt>");
     }
 
     #[test]
     fn unterminated_list_is_none() {
-        assert!(split_args(r#"read(3</x>, "#, 5).is_none());
-        assert!(split_args(r#"read("unterminated"#, 5).is_none());
+        let mut args = Vec::new();
+        assert!(split_args(r#"read(3</x>, "#, 5, &mut args).is_none());
+        assert!(split_args(r#"read("unterminated"#, 5, &mut args).is_none());
+        assert!(split_args(r#"read("esc\"#, 5, &mut args).is_none());
     }
 
     #[test]

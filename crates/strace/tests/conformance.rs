@@ -251,7 +251,7 @@ fn record_keywords_inside_paths_do_not_change_the_record() {
     let interner = Interner::new();
     let parsed = parse_str(text, &interner);
     assert!(parsed.warnings.is_empty(), "{:?}", parsed.warnings);
-    let got: Vec<(Syscall, u64, u64, String, Option<u64>, Option<u64>)> = parsed
+    let got: Vec<_> = parsed
         .events
         .iter()
         .map(|e| {

@@ -47,6 +47,15 @@ enum TraceOp {
     Noise { pid: u32, exit: bool },
     /// An `ERESTARTSYS`-interrupted record.
     Restarted { pid: u32 },
+    /// An `<unfinished ...>` record whose `resumed` record, `delay`
+    /// records later, is interrupted with `ERESTARTSYS`; the call is then
+    /// re-issued complete.
+    RestartedSplit {
+        pid: u32,
+        write: bool,
+        path: &'static str,
+        delay: usize,
+    },
 }
 
 fn pid_strategy() -> impl Strategy<Value = u32> {
@@ -102,6 +111,14 @@ fn op_strategy() -> impl Strategy<Value = TraceOp> {
         Just(TraceOp::Garbage),
         (pid_strategy(), prop::bool::ANY).prop_map(|(pid, exit)| TraceOp::Noise { pid, exit }),
         pid_strategy().prop_map(|pid| TraceOp::Restarted { pid }),
+        (pid_strategy(), prop::bool::ANY, path_strategy(), 0usize..40).prop_map(
+            |(pid, write, path, delay)| TraceOp::RestartedSplit {
+                pid,
+                write,
+                path,
+                delay
+            }
+        ),
     ]
 }
 
@@ -184,6 +201,24 @@ fn materialize(ops: &[TraceOp]) -> String {
             TraceOp::Restarted { pid } => {
                 lines.push(format!(
                     "{pid}  {t} read(3</x>, \"\", 10) = ? ERESTARTSYS (To be restarted)"
+                ));
+            }
+            TraceOp::RestartedSplit {
+                pid,
+                write,
+                path,
+                delay,
+            } => {
+                let name = call_name(*write);
+                lines.push(format!("{pid}  {t} {name}(3<{path}>, <unfinished ...>"));
+                let due = lines.len() + delay;
+                scheduled.push((
+                    due,
+                    format!("{pid}  {t} <... {name} resumed> \"\", 64) = ? ERESTARTSYS (To be restarted) <0.000004>"),
+                ));
+                scheduled.push((
+                    due,
+                    format!("{pid}  {t} {name}(3<{path}>, \"...\", 64) = 64 <0.000002>"),
                 ));
             }
         }

@@ -77,12 +77,18 @@ impl Micros {
     /// Returns `None` on any malformed field.
     pub fn parse_time_of_day(s: &str) -> Option<Micros> {
         let bytes = s.as_bytes();
-        // Minimal shape: H:M:S — but strace always prints HH:MM:SS[.ffffff].
-        let (hh, rest) = split_field(bytes, b':')?;
-        let (mm, rest) = split_field(rest, b':')?;
-        let (ss, frac) = match memchr(rest, b'.') {
-            Some(i) => (&rest[..i], Some(&rest[i + 1..])),
-            None => (rest, None),
+        // Minimal shape: H:M:S — but strace always prints HH:MM:SS[.ffffff],
+        // whose fields sit at fixed offsets (the field checks below reject
+        // every stamp the general split would).
+        let (hh, mm, ss, frac) = if let [_, _, b':', _, _, b':', _, _, b'.', ..] = bytes {
+            (&bytes[..2], &bytes[3..5], &bytes[6..8], Some(&bytes[9..]))
+        } else {
+            let (hh, rest) = split_field(bytes, b':')?;
+            let (mm, rest) = split_field(rest, b':')?;
+            match memchr(rest, b'.') {
+                Some(i) => (hh, mm, &rest[..i], Some(&rest[i + 1..])),
+                None => (hh, mm, rest, None),
+            }
         };
         let hh = parse_u64(hh)?;
         let mm = parse_u64(mm)?;
@@ -232,6 +238,12 @@ mod tests {
     }
 
     #[test]
+    fn single_digit_fields_take_the_general_split() {
+        let t = Micros::parse_time_of_day("8:5:4.000001").unwrap();
+        assert_eq!(t.0, ((8 * 60 + 5) * 60 + 4) * MICROS_PER_SEC + 1);
+    }
+
+    #[test]
     fn parses_short_fraction_scaled() {
         let t = Micros::parse_time_of_day("00:00:00.5").unwrap();
         assert_eq!(t.0, 500_000);
@@ -247,6 +259,11 @@ mod tests {
             "08:61:00",
             "08:55:54.",
             "08:55:54.1234567",
+            // Fixed-width shape with a separator where a digit belongs.
+            "0::55:54.123456",
+            "08:5.:54.123456",
+            "08:55:5..123456",
+            "08:55:54..23456",
         ] {
             assert!(Micros::parse_time_of_day(s).is_none(), "accepted {s:?}");
         }

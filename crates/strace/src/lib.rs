@@ -9,10 +9,12 @@
 //! producing one text file per MPI process. This crate turns those files
 //! back into the [`st_model`] event model:
 //!
-//! * [`record`] — classification and parsing of a *single* trace line
-//!   (complete call, `<unfinished ...>`, `<... resumed>`, signal stop,
-//!   exit marker);
-//! * [`scan`] — the low-level argument tokenizer that respects quoted
+//! * [`record`] — the one-pass byte cursor that classifies and parses a
+//!   *single* trace line (complete call, `<unfinished ...>`,
+//!   `<... resumed>`, signal stop, exit marker) into slices of the line,
+//!   with the arguments in a scratch vector the caller reuses, so a
+//!   line allocates nothing;
+//! * [`scan`] — the cursor's argument stage, which respects quoted
 //!   strings, `fd<path>` annotations, struct/array braces and truncation
 //!   ellipses;
 //! * [`parser`] — whole-file assembly: merging unfinished/resumed pairs

@@ -165,7 +165,7 @@ pub fn parse_line<'a>(line: &'a str, args: &mut Vec<&'a str>) -> Option<Line<'a>
 
     // Mandatory timestamp column (-tt).
     let ts_end = skip_while(bytes, pos, |b| !is_space(b));
-    let start = time_of_day(&line[pos..ts_end])?;
+    let start = Micros::parse_time_of_day(&line[pos..ts_end])?;
     pos = skip_while(bytes, ts_end, is_space);
 
     let rest = &bytes[pos..];
@@ -288,37 +288,12 @@ fn parse_return(line: &str, pos: usize) -> Option<(ReturnValue<'_>, Option<&str>
     // Optional duration `<0.000203>` at the end.
     let dur = if bytes.get(pos) == Some(&b'<') {
         let close = find(bytes, pos + 1, b'>')?;
-        Some(duration(&line[pos + 1..close])?)
+        Some(Micros::parse_duration(&line[pos + 1..close])?)
     } else {
         None
     };
 
     Some((ret, errno, dur))
-}
-
-/// [`Micros::parse_time_of_day`], reading strace's `HH:MM:SS.ffffff`
-/// shape straight from its bytes.
-fn time_of_day(tok: &str) -> Option<Micros> {
-    let b = tok.as_bytes();
-    if let [_, _, b':', _, _, b':', _, _, b'.', _, _, _, _, _, _] = b {
-        let (h, m) = (decimal(&b[..2])?, decimal(&b[3..5])?);
-        let (s, frac) = (decimal(&b[6..8])?, decimal(&b[9..])?);
-        return (h <= 23 && m <= 59 && s <= 60)
-            .then(|| Micros(((h * 60 + m) * 60 + s) * 1_000_000 + frac));
-    }
-    Micros::parse_time_of_day(tok)
-}
-
-/// [`Micros::parse_duration`], reading the `-T` shape `S.ffffff` straight
-/// from its bytes.
-fn duration(tok: &str) -> Option<Micros> {
-    let b = tok.as_bytes();
-    match b.len().checked_sub(7) {
-        Some(dot @ 1..=6) if b[dot] == b'.' => Some(Micros(
-            decimal(&b[..dot])? * 1_000_000 + decimal(&b[dot + 1..])?,
-        )),
-        _ => Micros::parse_duration(tok),
-    }
 }
 
 /// The value of a run of ASCII digits; `None` on any other byte or on

@@ -40,7 +40,10 @@ use st_query::pushdown::{read_pruned, read_pruned_par, ColumnSet};
 use st_query::{group_by, parse_expr, scan, scan_par, GroupKey, Predicate};
 use st_store::{BytesSegment, SegmentReader, SegmentSource, StoreBuilder};
 use st_strace::record::parse_line;
-use st_strace::{parse_par, parse_reader, parse_str, write_case, WriteOptions};
+use st_strace::{
+    load_dir, parse_par, parse_reader, parse_str, write_case, write_log_to_dir, LoadOptions,
+    WriteOptions,
+};
 
 /// Reference DFG accumulation the dense path replaced: one ordered-map
 /// lookup per edge increment and per occurrence count (the seed
@@ -214,10 +217,13 @@ fn main() {
     // The text `simulate <workload> --paper --emit-strace` writes, emitted
     // in-process: the tokenizer alone (`record::parse_line`) and the full
     // `parse_str` (one interner per round, as one load would use).
-    let paper_texts: Vec<String> = ["ior-ssf-fpp", "ior-mpiio"]
+    let paper_logs: Vec<EventLog> = ["ior-ssf-fpp", "ior-mpiio"]
         .iter()
-        .flat_map(|name| {
-            let log = st_source::sim::workload_log(name, !quick).expect("known workload");
+        .map(|name| st_source::sim::workload_log(name, !quick).expect("known workload"))
+        .collect();
+    let paper_texts: Vec<String> = paper_logs
+        .iter()
+        .flat_map(|log| {
             log.cases()
                 .iter()
                 .map(|case| {
@@ -248,13 +254,48 @@ fn main() {
             .map(|text| parse_str(text, &interner).events.len())
             .sum::<usize>()
     });
+    // The whole strace-dir load (`load_dir`: file reads, parse, intern
+    // publish) of both experiments' text, written to a temporary
+    // directory per experiment, on 1 and 2 workers.
+    let load_root = std::env::temp_dir().join(format!("st-bench-load-{}", std::process::id()));
+    let load_dirs: Vec<std::path::PathBuf> = paper_logs
+        .iter()
+        .zip(["ior-ssf-fpp", "ior-mpiio"])
+        .map(|(log, name)| {
+            let dir = load_root.join(name);
+            write_log_to_dir(log, &dir, &WriteOptions::default()).expect("write paper traces");
+            dir
+        })
+        .collect();
+    let load_ns_per_line = |threads: usize| {
+        let opts = LoadOptions {
+            threads,
+            ..LoadOptions::default()
+        };
+        let (dt, events) = time_best(paper_rounds, || {
+            load_dirs
+                .iter()
+                .map(|dir| {
+                    let loaded = load_dir(dir, Interner::new_shared(), &opts).expect("load");
+                    loaded.log.total_events()
+                })
+                .sum::<usize>()
+        });
+        assert_eq!(
+            events,
+            paper_logs.iter().map(EventLog::total_events).sum::<usize>()
+        );
+        dt.as_nanos() as f64 / paper_lines as f64
+    };
+    let (load1_ns, load2_ns) = (load_ns_per_line(1), load_ns_per_line(2));
+    std::fs::remove_dir_all(&load_root).expect("remove the paper trace dirs");
     let paper_line_ns = line_dt.as_nanos() as f64 / paper_lines as f64;
     let paper_str_ns = paper_str_dt.as_nanos() as f64 / paper_lines as f64;
     eprintln!(
-        "paper IOR parse: {paper_lines} lines, parse_line {paper_line_ns:.1} ns/line, parse_str {paper_str_ns:.1} ns/line"
+        "paper IOR parse: {paper_lines} lines, parse_line {paper_line_ns:.1} ns/line, parse_str {paper_str_ns:.1} ns/line, load_dir {load1_ns:.1} ns/line (1 worker) / {load2_ns:.1} ns/line (2 workers)"
     );
     let paper_ior_row = format!(
-        "{{\"lines\": {paper_lines}, \"rounds\": {paper_rounds}, \"parse_line_ns_per_line\": {paper_line_ns:.1}, \"parse_str_ns_per_line\": {paper_str_ns:.1}}}"
+        "{{\"lines\": {paper_lines}, \"rounds\": {paper_rounds}, \"parse_line_ns_per_line\": {paper_line_ns:.1}, \"parse_str_ns_per_line\": {paper_str_ns:.1}, \"load_dir_ns_per_line\": [{{\"threads\": 1, \"ns_per_line\": {load1_ns:.1}}}, {{\"threads\": 2, \"ns_per_line\": {load2_ns:.1}}}]}}"
     );
 
     // ---- DFG: mapping apply, build and activity-log multiset ---------
@@ -370,18 +411,26 @@ fn main() {
         let cid = log.interner().get("s").expect("the SSF run has cid `s`");
         let view = LogView::full(&log).refine(|meta, _| meta.cid == cid);
         let (view_dt, _) = time_best(reps, || IoStatistics::compute_view(&mapped, &view).len());
+        // The full-log DOT render on the warm mapped log, as the
+        // comparison's last step calls it.
+        let full = LogView::full(&log);
+        let (dot_dt, _) = time_best(reps, || {
+            st_core::render::render_dfg_dot(&mapped, &full).len()
+        });
         let ns_per_event = first_dt.as_nanos() as f64 / events as f64;
         eprintln!(
-            "stats ranks={ior_ranks}: {events} events, m={activities}, first {:.2} ms ({ns_per_event:.1} ns/event), warm {:.2} ms, cid view {:.2} ms",
+            "stats ranks={ior_ranks}: {events} events, m={activities}, first {:.2} ms ({ns_per_event:.1} ns/event), warm {:.2} ms, cid view {:.2} ms, render_dfg_dot {:.2} ms",
             first_dt.as_nanos() as f64 / 1e6,
             warm_dt.as_nanos() as f64 / 1e6,
             view_dt.as_nanos() as f64 / 1e6,
+            dot_dt.as_nanos() as f64 / 1e6,
         );
         format!(
-            "{{\"ranks\": {ior_ranks}, \"events\": {events}, \"activities\": {activities}, \"first_compute_ns\": {}, \"warm_compute_ns\": {}, \"cid_view_ns\": {}, \"ns_per_event\": {ns_per_event:.3}}}",
+            "{{\"ranks\": {ior_ranks}, \"events\": {events}, \"activities\": {activities}, \"first_compute_ns\": {}, \"warm_compute_ns\": {}, \"cid_view_ns\": {}, \"render_dfg_dot_ns\": {}, \"ns_per_event\": {ns_per_event:.3}}}",
             first_dt.as_nanos(),
             warm_dt.as_nanos(),
             view_dt.as_nanos(),
+            dot_dt.as_nanos(),
         )
     };
 

@@ -65,12 +65,27 @@ fn quick_snapshot_writes_every_section_with_positive_timings() {
 
     // The paper-scale statistics row splits the first call (interval
     // index build included) from a warm repeat and a per-cid view.
-    for field in ["first_compute_ns", "warm_compute_ns", "cid_view_ns"] {
+    for field in [
+        "first_compute_ns",
+        "warm_compute_ns",
+        "cid_view_ns",
+        "render_dfg_dot_ns",
+    ] {
         assert!(
             json.contains(&format!("\"{field}\": ")),
             "stats.ior_ssf_fpp lacks {field}"
         );
     }
+
+    // The paper-corpus parse row times the whole directory load on 1
+    // and 2 workers.
+    for threads in [1, 2] {
+        assert!(
+            json.contains(&format!("{{\"threads\": {threads}, \"ns_per_line\": ")),
+            "parse.paper_ior lacks load_dir_ns_per_line at {threads} worker(s)"
+        );
+    }
+    assert!(json.contains("\"load_dir_ns_per_line\": ["));
 
     assert!(
         !json.contains("build_par4_ns_per_event"),

@@ -345,17 +345,27 @@ fn main() {
     // log also builds its sorted interval index, which later calls and
     // views reuse; `compute_ns` times that first call, on a fresh
     // mapping (built off the clock) per repetition.
-    let first_compute = |log: &EventLog, mapping: &dyn Mapping| {
+    //
+    // The rows in n also time the engine forced onto 1 and onto 2
+    // workers (`compute_view_on`), whatever the index size: where the
+    // fan-out starts to win is the engine's fan-out threshold.
+    let first_compute_on = |log: &EventLog, mapping: &dyn Mapping, workers: Option<usize>| {
         (0..reps.max(1))
             .map(|_| {
                 let mapped = MappedLog::new(log, mapping);
+                let full = LogView::full(log);
                 let t0 = Instant::now();
-                let activities = IoStatistics::compute(&mapped).len();
+                let activities = match workers {
+                    None => IoStatistics::compute(&mapped).len(),
+                    Some(n) => IoStatistics::compute_view_on(&mapped, &full, n).len(),
+                };
                 (t0.elapsed(), activities, mapped.mapped_events())
             })
             .min_by_key(|&(dt, _, _)| dt)
             .expect("at least one repetition")
     };
+    let first_compute =
+        |log: &EventLog, mapping: &dyn Mapping| first_compute_on(log, mapping, None);
     let stats_row = |log: &EventLog, mapping: &dyn Mapping, key: &str, value: usize| {
         let (dt, activities, events) = first_compute(log, mapping);
         let ns_per_event = dt.as_nanos() as f64 / events as f64;
@@ -363,14 +373,14 @@ fn main() {
             "stats {key}={value}: {events} events, m={activities}, {ns_per_event:.1} ns/event"
         );
         format!(
-            "{{\"{key}\": {value}, \"events\": {events}, \"activities\": {activities}, \"compute_ns\": {}, \"ns_per_event\": {ns_per_event:.3}}}",
+            "{{\"{key}\": {value}, \"events\": {events}, \"activities\": {activities}, \"compute_ns\": {}, \"ns_per_event\": {ns_per_event:.3}",
             dt.as_nanos()
         )
     };
-    let stats_n_sweep: [usize; 3] = if quick {
-        [2_500, 10_000, 40_000]
+    let stats_n_sweep: &[usize] = if quick {
+        &[2_500, 10_000, 40_000]
     } else {
-        [10_000, 50_000, 200_000]
+        &[10_000, 25_000, 50_000, 200_000]
     };
     let stats_n_rows: Vec<String> = stats_n_sweep
         .iter()
@@ -381,7 +391,20 @@ fn main() {
                 paths: 64,
                 seed: 4,
             });
-            stats_row(&log, &CallTopDirs::new(2), "target_events", events)
+            let mapping = CallTopDirs::new(2);
+            let (seq_dt, _, _) = first_compute_on(&log, &mapping, Some(1));
+            let (fan_dt, _, _) = first_compute_on(&log, &mapping, Some(2));
+            eprintln!(
+                "stats target_events={events}: sequential {:.2} ms, 2-worker fan-out {:.2} ms",
+                seq_dt.as_nanos() as f64 / 1e6,
+                fan_dt.as_nanos() as f64 / 1e6,
+            );
+            format!(
+                "{}, \"sequential_compute_ns\": {}, \"fanout_compute_ns\": {}}}",
+                stats_row(&log, &mapping, "target_events", events),
+                seq_dt.as_nanos(),
+                fan_dt.as_nanos(),
+            )
         })
         .collect();
     let stats_m_rows: Vec<String> = [8usize, 64, 512]
@@ -393,7 +416,7 @@ fn main() {
                 paths,
                 seed: 5,
             });
-            stats_row(&log, &CallTopDirs::new(4), "paths", paths)
+            stats_row(&log, &CallTopDirs::new(4), "paths", paths) + "}"
         })
         .collect();
     let ior_scale = if quick { Scale::Small } else { Scale::Paper };

@@ -77,6 +77,15 @@ fn quick_snapshot_writes_every_section_with_positive_timings() {
         );
     }
 
+    // The statistics rows in n time the sequential engine against the
+    // 2-worker fan-out (the row the fan-out threshold comes from).
+    for field in ["sequential_compute_ns", "fanout_compute_ns"] {
+        assert!(
+            json.contains(&format!("\"{field}\": ")),
+            "stats.vs_events lacks {field}"
+        );
+    }
+
     // The paper-corpus parse row times the whole directory load on 1
     // and 2 workers.
     for threads in [1, 2] {

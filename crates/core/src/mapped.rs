@@ -12,7 +12,9 @@
 //! The statistics engine also needs every mapped event's interval,
 //! grouped by activity and sorted by start (`IntervalIndex`). A
 //! mapped log builds that index on the first statistics call and keeps
-//! it, so any number of slices reuse one sort.
+//! it, so any number of slices reuse one sort. It keeps the full-log
+//! [`IoStatistics`] the same way: every later full-log call (the
+//! identity view included) returns the stored value.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -21,7 +23,9 @@ use std::sync::OnceLock;
 use st_model::{CaseMeta, Event, EventLog, LogView, Micros};
 
 use crate::activity::{ActivityId, ActivityTable};
+use crate::concurrency::{fan_out, stats_workers};
 use crate::mapping::{MapCtx, Mapping};
+use crate::stats::IoStatistics;
 
 /// Memo key for call/path-keyed mappings
 /// ([`Mapping::keyed_by_call_path`]): the call identity (named-table
@@ -160,6 +164,11 @@ impl IntervalIndex {
     pub fn group(&self, a: usize) -> &[IndexedInterval] {
         &self.intervals[self.offsets[a]..self.offsets[a + 1]]
     }
+
+    /// Number of intervals (mapped events) indexed.
+    pub fn len(&self) -> usize {
+        self.intervals.len()
+    }
 }
 
 /// An event log plus its per-event activity assignment under a mapping
@@ -171,6 +180,8 @@ pub struct MappedLog<'log> {
     assignments: Vec<Vec<Option<ActivityId>>>,
     /// The statistics index, built on first use.
     intervals: OnceLock<IntervalIndex>,
+    /// The full-log statistics, computed on first use.
+    stats: OnceLock<IoStatistics>,
 }
 
 impl<'log> MappedLog<'log> {
@@ -198,6 +209,7 @@ impl<'log> MappedLog<'log> {
             table: mapper.table,
             assignments,
             intervals: OnceLock::new(),
+            stats: OnceLock::new(),
         }
     }
 
@@ -273,18 +285,25 @@ impl<'log> MappedLog<'log> {
         })
     }
 
-    fn check_view(&self, view: &LogView<'_>) {
+    pub(crate) fn check_view(&self, view: &LogView<'_>) {
         assert!(
             std::ptr::eq(self.log, view.log()),
             "view must slice the same EventLog this MappedLog was built from"
         );
     }
 
+    /// The full-log statistics, computed on the first call.
+    pub(crate) fn statistics(&self) -> &IoStatistics {
+        self.stats
+            .get_or_init(|| IoStatistics::accumulate(self, self.iter_mapped(), None, None))
+    }
+
     /// The statistics index, built on the first call: a counting
     /// scatter of the mapped events by activity, then a sort of each
-    /// group by `(start, end)`. Ties are equal intervals, and no
-    /// statistic depends on their order, so the sort need not be stable.
-    pub(crate) fn interval_index(&self) -> &IntervalIndex {
+    /// group by `(start, end)`, on [`stats_workers`] threads unless
+    /// `workers` is given. Ties are equal intervals, and no statistic
+    /// depends on their order, so the sort need not be stable.
+    pub(crate) fn interval_index(&self, workers: Option<usize>) -> &IntervalIndex {
         self.intervals.get_or_init(|| {
             let mut offsets = vec![0usize; self.table.len() + 1];
             for a in self.assignments.iter().flatten().flatten() {
@@ -318,9 +337,23 @@ impl<'log> MappedLog<'log> {
                     event = event.checked_add(1).expect("event count fits in u32");
                 }
             }
+            let mut groups = Vec::with_capacity(self.table.len());
+            let mut rest = &mut intervals[..];
             for w in offsets.windows(2) {
-                intervals[w[0]..w[1]].sort_unstable_by_key(|i| (i.start, i.end));
+                let (group, tail) = rest.split_at_mut(w[1] - w[0]);
+                groups.push(group);
+                rest = tail;
             }
+            let workers = workers.unwrap_or_else(|| stats_workers(offsets[self.table.len()]));
+            fan_out(
+                groups,
+                workers,
+                |g| g.len(),
+                |_| (),
+                |(), group| {
+                    group.sort_unstable_by_key(|i| (i.start, i.end));
+                },
+            );
             IntervalIndex { offsets, intervals }
         })
     }

@@ -22,12 +22,19 @@
 //! from the mapped log's interval index — each activity's intervals,
 //! sorted once per [`MappedLog`] — with one merged start/end sweep per
 //! activity ([`crate::concurrency`]). A slice filters each sorted group
-//! in order, so views never re-sort.
+//! in order, so views never re-sort. The full-log statistics are
+//! computed once per mapped log and kept.
+//!
+//! On an index of at least `FAN_OUT_MIN_INTERVALS` intervals and a
+//! machine with more than one core, the per-activity group sorts and
+//! sweeps run on 2 workers, largest group first to the less-loaded
+//! worker. The sums pass stays sequential in event order, so every
+//! value, floats included, is the same as the sequential engine's.
 
 use st_model::Micros;
 
 use crate::activity::{ActivityId, ActivityTable};
-use crate::concurrency::Sweep;
+use crate::concurrency::{fan_out, stats_workers, Sweep};
 use crate::mapped::MappedLog;
 
 /// Statistics for one activity.
@@ -69,10 +76,11 @@ impl IoStatistics {
     /// one concurrency sweep per activity over the mapped log's sorted
     /// interval index. The first statistics call on a mapped log builds
     /// that index (the paper's per-activity sort); later calls and
-    /// views reuse it.
+    /// views reuse it. The result is kept: later calls on the same
+    /// mapped log return a copy.
     pub fn compute(mapped: &MappedLog<'_>) -> IoStatistics {
         let _span = st_obs::span!("stats.compute");
-        Self::accumulate(mapped, mapped.iter_mapped(), None)
+        mapped.statistics().clone()
     }
 
     /// Computes the statistics of a *slice*: only the events a
@@ -87,18 +95,38 @@ impl IoStatistics {
     /// [`MappedLog::iter_mapped_view`]).
     pub fn compute_view(mapped: &MappedLog<'_>, view: &st_model::LogView<'_>) -> IoStatistics {
         let _span = st_obs::span!("stats.compute.view");
-        let events = mapped.iter_mapped_view(view);
+        mapped.check_view(view);
+        if view.is_identity() {
+            return mapped.statistics().clone();
+        }
+        let keep = mapped.view_mask(view);
+        Self::accumulate(mapped, mapped.iter_mapped_view(view), Some(&keep), None)
+    }
+
+    /// [`IoStatistics::compute_view`] on exactly `workers` threads,
+    /// whatever the index size, and computed afresh even for the
+    /// identity view (an index not yet built is built on `workers`
+    /// threads too). For benchmarks and equivalence tests of the
+    /// fan-out.
+    #[doc(hidden)]
+    pub fn compute_view_on(
+        mapped: &MappedLog<'_>,
+        view: &st_model::LogView<'_>,
+        workers: usize,
+    ) -> IoStatistics {
         let keep = (!view.is_identity()).then(|| mapped.view_mask(view));
-        Self::accumulate(mapped, events, keep.as_deref())
+        let events = mapped.iter_mapped_view(view);
+        Self::accumulate(mapped, events, keep.as_deref(), Some(workers))
     }
 
     /// `keep`, when given, is the view's per-event mask
     /// ([`MappedLog::view_mask`]); it must keep exactly the events that
-    /// `events` yields.
-    fn accumulate<'a>(
+    /// `events` yields. `workers` overrides the fan-out decision.
+    pub(crate) fn accumulate<'a>(
         mapped: &MappedLog<'_>,
         events: impl Iterator<Item = (usize, crate::ActivityId, &'a st_model::Event)>,
         keep: Option<&[bool]>,
+        workers: Option<usize>,
     ) -> IoStatistics {
         #[derive(Clone)]
         struct Accum {
@@ -130,42 +158,44 @@ impl IoStatistics {
             }
         }
 
-        let index = mapped.interval_index();
-        let mut sweep = Sweep::new(mapped.log().case_count());
+        let index = mapped.interval_index(workers);
+        let concurrency = fan_out(
+            (0..acc.len()).map(|a| index.group(a)).collect(),
+            workers.unwrap_or_else(|| stats_workers(index.len())),
+            |group| group.len(),
+            |largest| Sweep::new(mapped.log().case_count(), largest),
+            |sweep, group| match keep {
+                None => sweep.run(group.iter().map(|i| i.sweep_key())),
+                Some(keep) => sweep.run(
+                    group
+                        .iter()
+                        .filter(|i| keep[i.event as usize])
+                        .map(|i| i.sweep_key()),
+                ),
+            },
+        );
         let total_dur: Micros = acc.iter().map(|a| a.dur).sum();
         let per = acc
             .into_iter()
-            .enumerate()
-            .map(|(id, a)| {
-                let group = index.group(id);
-                let concurrency = match keep {
-                    None => sweep.run(group.iter().map(|i| i.sweep_key())),
-                    Some(keep) => sweep.run(
-                        group
-                            .iter()
-                            .filter(|i| keep[i.event as usize])
-                            .map(|i| i.sweep_key()),
-                    ),
-                };
-                ActivityStats {
-                    events: a.events,
-                    total_dur: a.dur,
-                    rel_dur: if total_dur.as_micros() == 0 {
-                        0.0
-                    } else {
-                        a.dur.as_micros() as f64 / total_dur.as_micros() as f64
-                    },
-                    bytes: a.bytes,
-                    mean_rate_bps: if a.rated == 0 {
-                        0.0
-                    } else {
-                        a.rate_sum / a.rated as f64
-                    },
-                    rated_events: a.rated,
-                    max_concurrency: concurrency.windowed,
-                    max_concurrency_exact: concurrency.exact,
-                    case_concurrency: concurrency.cases,
-                }
+            .zip(concurrency)
+            .map(|(a, concurrency)| ActivityStats {
+                events: a.events,
+                total_dur: a.dur,
+                rel_dur: if total_dur.as_micros() == 0 {
+                    0.0
+                } else {
+                    a.dur.as_micros() as f64 / total_dur.as_micros() as f64
+                },
+                bytes: a.bytes,
+                mean_rate_bps: if a.rated == 0 {
+                    0.0
+                } else {
+                    a.rate_sum / a.rated as f64
+                },
+                rated_events: a.rated,
+                max_concurrency: concurrency.windowed,
+                max_concurrency_exact: concurrency.exact,
+                case_concurrency: concurrency.cases,
             })
             .collect();
 

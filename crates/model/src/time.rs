@@ -125,20 +125,21 @@ impl Micros {
     }
 
     /// Parses a `strace -T` duration field body, e.g. `0.000203`
-    /// (the `<` `>` delimiters must already be stripped).
+    /// (the `<` `>` delimiters must already be stripped). `None` when
+    /// the value does not fit in `u64` microseconds.
     pub fn parse_duration(s: &str) -> Option<Micros> {
         let (secs, frac) = match memchr(s.as_bytes(), b'.') {
             Some(i) => (&s[..i], Some(&s[i + 1..])),
             None => (s, None),
         };
         let secs = parse_u64(secs.as_bytes())?;
-        let mut micros = secs * MICROS_PER_SEC;
+        let mut micros = secs.checked_mul(MICROS_PER_SEC)?;
         if let Some(frac) = frac {
             if frac.is_empty() || frac.len() > 6 {
                 return None;
             }
             let val = parse_u64(frac.as_bytes())?;
-            micros += val * 10u64.pow(6 - frac.len() as u32);
+            micros = micros.checked_add(val * 10u64.pow(6 - frac.len() as u32))?;
         }
         Some(Micros(micros))
     }
@@ -283,6 +284,19 @@ mod tests {
         assert!(Micros::parse_duration("").is_none());
         assert!(Micros::parse_duration("1.").is_none());
         assert!(Micros::parse_duration("x.1").is_none());
+    }
+
+    #[test]
+    fn duration_that_overflows_u64_micros_is_rejected() {
+        // u64::MAX µs is 18446744073709.551615 s.
+        let max = Micros::parse_duration("18446744073709.551615").unwrap();
+        assert_eq!(max, Micros(u64::MAX));
+        // The seconds scale past u64 (this wrapped to 0.448384 s).
+        assert!(Micros::parse_duration("18446744073710.000000").is_none());
+        assert!(Micros::parse_duration("18446744073710").is_none());
+        // The seconds fit; adding the fraction does not.
+        assert!(Micros::parse_duration("18446744073709.551616").is_none());
+        assert!(Micros::parse_duration("18446744073709.9").is_none());
     }
 
     #[test]

@@ -3,32 +3,37 @@
 //! The paper's setup produces one trace file per MPI process (Fig. 1);
 //! production runs produce hundreds of files (96 ranks per IOR mode in
 //! Sec. V). Parsing is embarrassingly parallel across files, so the
-//! loader fans the file list out to a pool of worker threads (results
-//! re-ordered for determinism). Each file is read into memory once and
-//! parsed zero-copy with [`crate::parse_str`]; when there are fewer
-//! files than workers (e.g. one huge trace), the spare parallelism is
-//! spent *inside* the file via [`crate::parse_par`] instead. All
-//! workers intern into the same shared [`Interner`].
+//! loader fans the file list out to workers: the calling thread and
+//! spawned threads claim files in turn. Each file is read into memory
+//! once and parsed zero-copy as [`crate::parse_str`] does; when there
+//! are fewer files than workers (e.g. one huge trace), the spare
+//! parallelism is spent *inside* the file via [`crate::parse_par`]
+//! instead.
+//!
+//! A worker interns into a table of its own, with no lock per event,
+//! and notes the order in which each file first used its strings. When
+//! the workers are done, the calling thread walks the files in order
+//! and interns each file's new strings into the shared [`Interner`] in
+//! that order: the order a sequential load interns them in. So a load
+//! on any number of workers equals the sequential load, symbol ids
+//! included.
 
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
-use st_model::{Case, CaseMeta, EventLog, Interner};
+use st_model::{Case, CaseMeta, EventLog, Interner, LocalInterner, Symbol};
 
 use crate::error::{StraceError, Warning};
-use crate::parser::{parse_par, parse_reader, parse_str};
+use crate::parser::{parse_par, parse_text, read_lines, remap, Intern, ParsedTrace};
 
 /// Options for [`load_dir`] / [`load_files`].
 #[derive(Debug, Clone)]
 pub struct LoadOptions {
     /// Worker count; `0` uses the machine's available parallelism and
-    /// `1` parses sequentially on the calling thread.
-    ///
-    /// A parallel load holds the same data as a sequential one, but its
-    /// symbol ids (and so the string table of a store written from it)
-    /// can differ: workers intern into the shared [`Interner`]
-    /// concurrently, so first-use order follows thread scheduling.
+    /// `1` parses sequentially on the calling thread. Every worker count
+    /// loads the same log, symbol ids included.
     pub threads: usize,
     /// Fail on file names that do not follow the `<cid>_<host>_<rid>.st`
     /// convention. When `false`, a fallback identity (cid = file stem,
@@ -131,105 +136,194 @@ pub fn load_files(
     };
     let n_workers = requested.min(files.len().max(1));
 
-    let mut slots: Vec<Option<(Case, Vec<Warning>)>> = (0..files.len()).map(|_| None).collect();
-
-    if requested <= 1 {
-        for (idx, path) in files.iter().enumerate() {
-            slots[idx] = Some(parse_one(path, metas[idx], &interner, 1, opts.streaming)?);
-        }
-    } else if files.len() * 2 <= requested && !opts.streaming {
+    let parsed = if requested > 1 && files.len() * 2 <= requested && !opts.streaming {
         // Fewer files than workers can fill: spend the parallelism
         // *inside* each file (chunked parse) instead of across files.
-        for (idx, path) in files.iter().enumerate() {
-            slots[idx] = Some(parse_one(path, metas[idx], &interner, requested, false)?);
-        }
+        files
+            .iter()
+            .map(|path| {
+                let _span = st_obs::span_with("strace.file", || path.display().to_string());
+                Ok(parse_par(&read_text(path)?, &interner, requested))
+            })
+            .collect::<Result<Vec<_>, StraceError>>()?
     } else {
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Result<(Case, Vec<Warning>), StraceError>)>();
-        let obs_cx = st_obs::context();
-        std::thread::scope(|scope| {
-            for _ in 0..n_workers {
-                let tx = tx.clone();
-                let next = &next;
-                let interner = &interner;
-                let files = &files;
-                let metas = &metas;
-                let obs_cx = obs_cx.clone();
-                scope.spawn(move || {
-                    let _obs = obs_cx.attach();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= files.len() {
-                            break;
-                        }
-                        let result =
-                            parse_one(&files[idx], metas[idx], interner, 1, opts.streaming);
-                        if tx.send((idx, result)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            for (idx, result) in rx {
-                slots[idx] = Some(result?);
-            }
-            Ok::<(), StraceError>(())
-        })?;
-    }
+        parse_files(files, &interner, n_workers, opts.streaming)?
+    };
 
     let mut log = EventLog::new(interner);
     let mut warnings = Vec::new();
-    for (idx, slot) in slots.into_iter().enumerate() {
-        let (case, ws) = slot.expect("every file parsed");
-        warnings.extend(ws.into_iter().map(|w| (files[idx].clone(), w)));
-        log.push_case(case);
+    for ((path, meta), trace) in files.iter().zip(metas).zip(parsed) {
+        warnings.extend(trace.warnings.into_iter().map(|w| (path.clone(), w)));
+        log.push_case(Case {
+            meta,
+            events: trace.events,
+        });
     }
     Ok(LoadResult { log, warnings })
 }
 
-fn parse_one(
-    path: &Path,
-    meta: CaseMeta,
+/// A loader worker's string table: one [`LocalInterner`] for the
+/// worker's whole life, plus the order in which each file it parsed
+/// first used its symbols.
+#[derive(Default)]
+struct WorkerTable {
+    table: LocalInterner,
+    /// Per local symbol, the stamp of the last file that used it.
+    stamp: Vec<u32>,
+    /// The current file's stamp (its index plus one; 0 is "none").
+    file: u32,
+    /// Every file's symbols in first-use order, file after file. One
+    /// growing buffer, not one per file: small long-lived buffers
+    /// between the freed file texts fragment the worker's malloc arena.
+    first_use: Vec<Symbol>,
+}
+
+impl Intern for WorkerTable {
+    #[inline]
+    fn intern_str(&mut self, s: &str) -> Symbol {
+        let sym = self.table.intern(s);
+        if sym.index() == self.stamp.len() {
+            self.stamp.push(0);
+        }
+        if self.stamp[sym.index()] != self.file {
+            self.stamp[sym.index()] = self.file;
+            self.first_use.push(sym);
+        }
+        sym
+    }
+}
+
+/// A parsed file: its trace in worker-local symbols, its worker, and
+/// its span of the worker's `first_use`.
+type Parsed = (ParsedTrace, usize, Range<usize>);
+
+/// Parses `files` on `n_workers` workers (the calling thread and
+/// `n_workers - 1` spawned ones), each into its own [`WorkerTable`],
+/// then publishes the tables into `interner` in one batch: file by file
+/// in file order, each file's not-yet-published symbols in its
+/// first-use order.
+fn parse_files(
+    files: &[PathBuf],
     interner: &Interner,
-    chunk_threads: usize,
+    n_workers: usize,
     streaming: bool,
-) -> Result<(Case, Vec<Warning>), StraceError> {
-    let _span = st_obs::span_with("strace.file", || path.display().to_string());
-    let io_err = |source| StraceError::Io {
-        path: path.to_path_buf(),
-        source,
+) -> Result<Vec<ParsedTrace>, StraceError> {
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let (mut sink, mut parsed) = (WorkerTable::default(), Vec::new());
+        loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            let Some(path) = files.get(idx) else { break };
+            sink.file = idx as u32 + 1;
+            let from = sink.first_use.len();
+            let result = parse_one(path, &mut sink, streaming);
+            let failed = result.is_err();
+            parsed.push((idx, result.map(|trace| (trace, from..sink.first_use.len()))));
+            if failed {
+                break;
+            }
+        }
+        (sink, parsed)
     };
+    let obs_cx = st_obs::context();
+    let workers = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..n_workers)
+            .map(|_| {
+                let (obs_cx, work) = (obs_cx.clone(), &work);
+                scope.spawn(move || {
+                    let _obs = obs_cx.attach();
+                    work()
+                })
+            })
+            .collect();
+        let mut workers = vec![work()];
+        workers.extend(
+            spawned
+                .into_iter()
+                .map(|h| h.join().expect("loader worker panicked")),
+        );
+        workers
+    });
+
+    // Workers stop at their first failed file, so every file before
+    // the first failed one is parsed: its error comes first in order.
+    let mut slots: Vec<Option<Result<Parsed, StraceError>>> =
+        (0..files.len()).map(|_| None).collect();
+    let mut tables = Vec::with_capacity(workers.len());
+    for (worker, (table, parsed)) in workers.into_iter().enumerate() {
+        tables.push(table);
+        for (idx, result) in parsed {
+            slots[idx] = Some(result.map(|(trace, span)| (trace, worker, span)));
+        }
+    }
+    let slots = slots
+        .into_iter()
+        .map(|slot| slot.expect("files up to the first failure are parsed"))
+        .collect::<Result<Vec<_>, _>>()?;
+
+    // Walk the files in order, listing each worker symbol at its first
+    // use, intern the list in one batch, then rewrite every file's
+    // events through its worker's local → shared map.
+    let _span = st_obs::span!("strace.intern.merge");
+    let mut maps: Vec<Vec<usize>> = tables
+        .iter()
+        .map(|t| vec![usize::MAX; t.table.len()])
+        .collect();
+    let mut keys: Vec<&str> = Vec::new();
+    for (_, worker, span) in &slots {
+        let table = &tables[*worker];
+        for &sym in &table.first_use[span.clone()] {
+            let key = &mut maps[*worker][sym.index()];
+            if *key == usize::MAX {
+                *key = keys.len();
+                keys.push(table.table.resolve(sym));
+            }
+        }
+    }
+    let (shared, inserted) = interner.intern_many_inserted(&keys);
+    st_obs::add("symbols_interned", inserted as u64);
+    let maps: Vec<Vec<Symbol>> = maps
+        .iter()
+        .map(|map| map.iter().map(|&key| shared[key]).collect())
+        .collect();
+    Ok(slots
+        .into_iter()
+        .map(|(mut trace, worker, _)| {
+            let map = &maps[worker];
+            trace.events.iter_mut().for_each(|ev| remap(ev, map));
+            trace
+        })
+        .collect())
+}
+
+/// Parses one file into `sink`, streamed or read whole.
+fn parse_one<I: Intern>(
+    path: &Path,
+    sink: &mut I,
+    streaming: bool,
+) -> Result<ParsedTrace, StraceError> {
+    let _span = st_obs::span_with("strace.file", || path.display().to_string());
     if streaming {
         // Constant memory: one buffered line at a time.
-        let file = std::fs::File::open(path).map_err(io_err)?;
-        let mut reader = std::io::BufReader::new(file);
-        let parsed = parse_reader(&mut reader, interner).map_err(io_err)?;
-        return Ok((
-            Case {
-                meta,
-                events: parsed.events,
-            },
-            parsed.warnings,
-        ));
+        let io = |source| StraceError::Io {
+            path: path.to_path_buf(),
+            source,
+        };
+        let file = std::fs::File::open(path).map_err(io)?;
+        return read_lines(&mut std::io::BufReader::new(file), sink).map_err(io);
     }
     // One read into memory, then a zero-copy parse over the buffer —
     // cheaper than the line-at-a-time loop, which copies every line,
     // at the cost of holding the file text (peak memory is
     // `workers x file size`; `streaming` bounds it instead).
-    let text = std::fs::read_to_string(path).map_err(io_err)?;
-    let parsed = if chunk_threads > 1 {
-        parse_par(&text, interner, chunk_threads)
-    } else {
-        parse_str(&text, interner)
-    };
-    Ok((
-        Case {
-            meta,
-            events: parsed.events,
-        },
-        parsed.warnings,
-    ))
+    Ok(parse_text(&read_text(path)?, sink))
+}
+
+fn read_text(path: &Path) -> Result<String, StraceError> {
+    std::fs::read_to_string(path).map_err(|source| StraceError::Io {
+        path: path.to_path_buf(),
+        source,
+    })
 }
 
 #[cfg(test)]
@@ -310,19 +404,13 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(seq.log.case_count(), par.log.case_count());
-        assert_eq!(seq.log.total_events(), par.log.total_events());
-        for (a, b) in seq.log.cases().iter().zip(par.log.cases()) {
-            assert_eq!(a.meta.rid, b.meta.rid);
-            assert_eq!(a.events.len(), b.events.len());
-            for (x, y) in a.events.iter().zip(&b.events) {
-                assert_eq!(x.start, y.start);
-                assert_eq!(x.size, y.size);
-                // Symbol ids may differ across the two loads; the
-                // strings they name may not.
-                assert_eq!(x.call.name(&seq_interner), y.call.name(&par_interner));
-                assert_eq!(seq_interner.resolve(x.path), par_interner.resolve(y.path));
-            }
+        // Raw symbol ids included: the workers' tables are published
+        // in file order.
+        assert_eq!(seq.log.cases(), par.log.cases());
+        assert_eq!(seq_interner.len(), par_interner.len());
+        let (a, b) = (seq_interner.snapshot(), par_interner.snapshot());
+        for sym in (0..a.len() as u32).map(Symbol) {
+            assert_eq!(a.resolve(sym), b.resolve(sym));
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

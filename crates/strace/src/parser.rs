@@ -56,7 +56,7 @@ pub struct ParsedTrace {
 
 /// Where newly seen strings go during parsing. Workers intern locally;
 /// the sequential paths intern straight into the shared table.
-trait Intern {
+pub(crate) trait Intern {
     fn intern_str(&mut self, s: &str) -> Symbol;
 }
 
@@ -107,13 +107,20 @@ fn classify<'a, I: Intern>(
         Some(Line::Restarted { resumed: false, .. }) => {
             Step::Warning(Warning::Restarted { line: lineno })
         }
-        Some(Line::Call(call)) => Step::Event(call_to_event(&call, args, sink)),
+        Some(Line::Call(call)) => match call_to_event(&call, args, sink) {
+            Some(event) => Step::Event(event),
+            None => unparsable(lineno, line),
+        },
         Some(record) => Step::Async(record),
-        None => Step::Warning(Warning::UnparsableLine {
-            line: lineno,
-            text: truncate(line, 160),
-        }),
+        None => unparsable(lineno, line),
     }
+}
+
+fn unparsable(line: usize, text: &str) -> Step<'static> {
+    Step::Warning(Warning::UnparsableLine {
+        line,
+        text: truncate(text, 160),
+    })
 }
 
 /// An `<unfinished ...>` call held until its `resumed` record.
@@ -136,9 +143,11 @@ impl Matcher {
     /// with the oldest held call of its `(pid, name)`. A resumed record
     /// with nothing held is an orphan. An `ERESTARTSYS` resumed record
     /// drops the call it ends: Sec. III ignores interrupted calls.
+    /// `text` is the record's line, quoted when the merged call is
+    /// unparsable.
     fn feed<I: Intern>(
         &mut self,
-        line: usize,
+        (line, text): (usize, &str),
         record: &Line<'_>,
         args: &[&str],
         sink: &mut I,
@@ -181,7 +190,10 @@ impl Matcher {
                     ret,
                     dur,
                 };
-                Step::Event(call_to_event(&call, &merged, sink))
+                match call_to_event(&call, &merged, sink) {
+                    Some(event) => Step::Event(event),
+                    None => unparsable(line, text),
+                }
             }
             Line::Restarted { pid, name, .. } => {
                 self.take(pid, name);
@@ -317,7 +329,7 @@ fn merge_asyncs<I: Intern>(
         for &(line, text) in &chunk.asyncs {
             // Read the record again: the chunk pass kept no arguments.
             let record = parse_line(text, &mut args).expect("deferred records parse");
-            let step = matcher.feed(offset + line, &record, &args, sink);
+            let step = matcher.feed((offset + line, text), &record, &args, sink);
             out.push(offset + line, step);
         }
     }
@@ -372,18 +384,23 @@ fn shift_warning(mut w: Warning, offset: usize) -> Warning {
 /// assert_eq!(event.size, Some(832));
 /// ```
 pub fn parse_str(text: &str, interner: &Interner) -> ParsedTrace {
-    let _span = st_obs::span!("strace.parse", bytes = text.len());
     let mut sink = SharedIntern(interner, 0);
-    let chunks = [parse_chunk(text, &mut sink)];
-    let merged = merge_asyncs(&chunks, &[0], &mut sink);
+    let parsed = parse_text(text, &mut sink);
+    st_obs::add("symbols_interned", sink.1 as u64);
+    parsed
+}
+
+/// [`parse_str`] into any string sink.
+pub(crate) fn parse_text<I: Intern>(text: &str, sink: &mut I) -> ParsedTrace {
+    let _span = st_obs::span!("strace.parse", bytes = text.len());
+    let chunks = [parse_chunk(text, sink)];
+    let merged = merge_asyncs(&chunks, &[0], sink);
     let [ChunkParse { mut collected, .. }] = chunks;
     collected.events.extend(merged.events);
     collected.warnings.extend(merged.warnings);
     collected.suppressed += merged.suppressed;
     let parsed = collected.finish();
-
     st_obs::add("events_parsed", parsed.events.len() as u64);
-    st_obs::add("symbols_interned", sink.1 as u64);
     parsed
 }
 
@@ -413,62 +430,14 @@ fn split_chunks(text: &str, n: usize) -> Vec<&str> {
     chunks
 }
 
-/// Rewrites the symbols of `events` (which reference `local`) into
-/// candidate ids: first-appearance positions in `candidates`. Walks in
-/// storage (line) order so candidate order equals sequential intern
-/// order. `cache` memoizes per local symbol.
-fn collect_candidates<'l>(
-    events: &mut [(usize, Event)],
-    local: &'l LocalInterner,
-    cache: &mut Vec<Option<u32>>,
-    dedup: &mut HashMap<&'l str, u32>,
-    candidates: &mut Vec<&'l str>,
-) {
-    cache.clear();
-    cache.resize(local.len(), None);
-    let to_candidate = |sym: Symbol,
-                        cache: &mut Vec<Option<u32>>,
-                        dedup: &mut HashMap<&'l str, u32>,
-                        candidates: &mut Vec<&'l str>| {
-        if let Some(c) = cache[sym.index()] {
-            return c;
-        }
-        let s = local.resolve(sym);
-        let c = *dedup.entry(s).or_insert_with(|| {
-            candidates.push(s);
-            (candidates.len() - 1) as u32
-        });
-        cache[sym.index()] = Some(c);
-        c
-    };
-    for (_, ev) in events.iter_mut() {
-        // Same per-event order as the sequential pass: the syscall name
-        // resolves (and may intern) before the path does.
-        if let Syscall::Other(sym) = ev.call {
-            ev.call = Syscall::Other(Symbol(to_candidate(sym, cache, dedup, candidates)));
-        }
-        ev.path = Symbol(to_candidate(ev.path, cache, dedup, candidates));
+/// Rewrites the symbols of `event`, ids of a local table, through
+/// `map` (local id → shared symbol).
+#[inline]
+pub(crate) fn remap(event: &mut Event, map: &[Symbol]) {
+    if let Syscall::Other(sym) = event.call {
+        event.call = Syscall::Other(map[sym.index()]);
     }
-}
-
-/// Every event vector of a parallel parse: one per chunk, then the
-/// merged unfinished/resumed calls.
-fn event_runs<'c, 'a>(
-    chunks: &'c mut [ChunkParse<'a>],
-    merged: &'c mut Collected,
-) -> impl Iterator<Item = &'c mut Vec<(usize, Event)>> + use<'c, 'a> {
-    let chunk_runs = chunks.iter_mut().map(|c| &mut c.collected.events);
-    chunk_runs.chain([&mut merged.events])
-}
-
-/// Rewrites candidate ids into the shared interner's symbols.
-fn apply_symbols(events: &mut [(usize, Event)], shared: &[Symbol]) {
-    for (_, ev) in events.iter_mut() {
-        if let Syscall::Other(sym) = ev.call {
-            ev.call = Syscall::Other(shared[sym.index()]);
-        }
-        ev.path = shared[ev.path.index()];
-    }
+    event.path = map[event.path.index()];
 }
 
 /// Parses a whole in-memory trace on `threads` worker threads
@@ -510,7 +479,7 @@ pub fn parse_par(text: &str, interner: &Interner, threads: usize) -> ParsedTrace
 
     // Map: parse chunks in parallel, each into a thread-local interner.
     let obs_cx = st_obs::context();
-    let (mut chunk_parses, locals, orders): (Vec<ChunkParse<'_>>, Vec<LocalInterner>, Vec<_>) =
+    let (mut chunk_parses, locals): (Vec<ChunkParse<'_>>, Vec<LocalInterner>) =
         std::thread::scope(|scope| {
             let handles: Vec<_> = chunks
                 .iter()
@@ -520,12 +489,10 @@ pub fn parse_par(text: &str, interner: &Interner, threads: usize) -> ParsedTrace
                         let _obs = obs_cx.attach();
                         let _chunk_span = st_obs::span!("strace.parse.chunk", bytes = chunk.len());
                         let mut local = LocalInterner::new();
-                        let parsed = parse_chunk(chunk, &mut local);
-                        // Pre-sorted run for the final k-way merge.
-                        let events = &parsed.collected.events;
-                        let mut order: Vec<usize> = (0..events.len()).collect();
-                        order.sort_unstable_by_key(|&i| event_order(&events[i]));
-                        (parsed, local, order)
+                        let mut parsed = parse_chunk(chunk, &mut local);
+                        // A sorted run for the final merge.
+                        parsed.collected.events.sort_unstable_by_key(event_order);
+                        (parsed, local)
                     })
                 })
                 .collect();
@@ -548,39 +515,37 @@ pub fn parse_par(text: &str, interner: &Interner, threads: usize) -> ParsedTrace
     let mut merge_local = LocalInterner::new();
     let mut merged = merge_asyncs(&chunk_parses, &offsets, &mut merge_local);
 
-    // Reduce 2: publish thread-local string tables to the shared
-    // interner in canonical first-use order, with one batched
-    // `intern_many` call, then rewrite event symbols.
+    // Reduce 2: publish the thread-local string tables to the shared
+    // interner with one batched `intern_many` call, then rewrite event
+    // symbols. A table's insertion order is its chunk's first-use
+    // order, so the chunk tables followed by the merge table are the
+    // sequential pass's first-use order.
     let intern_span = st_obs::span!("strace.intern.merge");
-    let mut dedup: HashMap<&str, u32> = HashMap::new();
-    let mut candidates: Vec<&str> = Vec::new();
-    let mut cache: Vec<Option<u32>> = Vec::new();
-    let tables = locals.iter().chain([&merge_local]);
-    for (events, local) in event_runs(&mut chunk_parses, &mut merged).zip(tables) {
-        collect_candidates(events, local, &mut cache, &mut dedup, &mut candidates);
-    }
-    let (shared, inserted) = interner.intern_many_inserted(&candidates);
+    let tables: Vec<&LocalInterner> = locals.iter().chain([&merge_local]).collect();
+    let keys: Vec<&str> = tables
+        .iter()
+        .flat_map(|t| (0..t.len() as u32).map(|i| t.resolve(Symbol(i))))
+        .collect();
+    let (shared, inserted) = interner.intern_many_inserted(&keys);
     st_obs::add("symbols_interned", inserted as u64);
-    for events in event_runs(&mut chunk_parses, &mut merged) {
-        apply_symbols(events, &shared);
+    let runs = chunk_parses.iter_mut().map(|c| &mut c.collected.events);
+    let mut offset = 0;
+    for (events, table) in runs.chain([&mut merged.events]).zip(tables) {
+        let map = &shared[offset..offset + table.len()];
+        events.iter_mut().for_each(|(_, ev)| remap(ev, map));
+        offset += table.len();
     }
     drop(intern_span);
 
-    // Reduce 3: k-way merge the pre-sorted per-chunk runs (plus the
-    // merged-event run) by (start, global line).
+    // Reduce 3: merge the sorted per-chunk runs (plus the merged-event
+    // run) by (start, global line).
     merged.events.sort_unstable_by_key(event_order);
-    let mut runs: Vec<Box<dyn Iterator<Item = (Micros, usize, Event)>>> = Vec::new();
-    for ((chunk, order), &offset) in chunk_parses.iter().zip(&orders).zip(&offsets) {
-        runs.push(Box::new(order.iter().map(move |&i| {
-            let (line, ev) = &chunk.collected.events[i];
-            (ev.start, offset + line, *ev)
-        })));
-    }
-    runs.push(Box::new(
-        merged.events.iter().map(|&(line, ev)| (ev.start, line, ev)),
-    ));
-    let capacity: usize = chunk_parses.iter().map(|c| c.collected.events.len()).sum();
-    let events = kway_merge(runs, capacity + merged.events.len());
+    let mut runs: Vec<(usize, &[(usize, Event)])> = (chunk_parses.iter())
+        .zip(&offsets)
+        .map(|(chunk, &offset)| (offset, &chunk.collected.events[..]))
+        .collect();
+    runs.push((0, &merged.events));
+    let events = merge_runs(&mut runs);
 
     // Warnings: per-chunk warnings shifted to global lines, orphan /
     // never-resumed warnings from the merge, ordered by line. Any
@@ -605,32 +570,19 @@ pub fn parse_par(text: &str, interner: &Interner, threads: usize) -> ParsedTrace
     }
 }
 
-/// Merges pre-sorted `(start, line, event)` runs into one event vector.
-fn kway_merge(
-    mut runs: Vec<Box<dyn Iterator<Item = (Micros, usize, Event)> + '_>>,
-    capacity: usize,
-) -> Vec<Event> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let mut events = Vec::with_capacity(capacity);
-    let mut heap: BinaryHeap<Reverse<(Micros, usize, usize)>> = BinaryHeap::new();
-    let mut heads: Vec<Option<Event>> = Vec::with_capacity(runs.len());
-    for (idx, run) in runs.iter_mut().enumerate() {
-        match run.next() {
-            Some((start, line, ev)) => {
-                heap.push(Reverse((start, line, idx)));
-                heads.push(Some(ev));
-            }
-            None => heads.push(None),
-        }
-    }
-    while let Some(Reverse((_, _, idx))) = heap.pop() {
-        events.push(heads[idx].take().expect("head present"));
-        if let Some((start, line, ev)) = runs[idx].next() {
-            heap.push(Reverse((start, line, idx)));
-            heads[idx] = Some(ev);
-        }
+/// Merges `(line offset, run)` pairs, each run sorted by `(start,
+/// line)`, into one event vector ordered by `(start, offset + line)`.
+/// Runs are few (one per worker), so the next event is found by a scan
+/// of the run heads.
+fn merge_runs(runs: &mut [(usize, &[(usize, Event)])]) -> Vec<Event> {
+    let mut events = Vec::with_capacity(runs.iter().map(|(_, run)| run.len()).sum());
+    while let Some((_, run)) = runs
+        .iter_mut()
+        .filter(|(_, run)| !run.is_empty())
+        .min_by_key(|(offset, run)| (run[0].1.start, offset + run[0].0))
+    {
+        events.push(run[0].1);
+        *run = &run[1..];
     }
     events
 }
@@ -652,6 +604,17 @@ pub fn parse_reader<R: BufRead>(
     reader: &mut R,
     interner: &Interner,
 ) -> std::io::Result<ParsedTrace> {
+    let mut sink = SharedIntern(interner, 0);
+    let parsed = read_lines(reader, &mut sink)?;
+    st_obs::add("symbols_interned", sink.1 as u64);
+    Ok(parsed)
+}
+
+/// [`parse_reader`] into any string sink.
+pub(crate) fn read_lines<R: BufRead, I: Intern>(
+    reader: &mut R,
+    sink: &mut I,
+) -> std::io::Result<ParsedTrace> {
     let _span = st_obs::span!("strace.parse.stream");
     let mut assembler = LineAssembler::default();
     let mut buf = String::new();
@@ -660,7 +623,7 @@ pub fn parse_reader<R: BufRead>(
         if reader.read_line(&mut buf)? == 0 {
             break;
         }
-        assembler.feed(&buf, interner);
+        assembler.feed(&buf, sink);
     }
     Ok(assembler.finish())
 }
@@ -672,24 +635,20 @@ struct LineAssembler {
     collected: Collected,
     matcher: Matcher,
     lineno: usize,
-    /// Strings this stream inserted into the shared interner.
-    inserted: usize,
     /// The scratch argument vector, emptied between lines.
     args: Vec<&'static str>,
 }
 
 impl LineAssembler {
-    fn feed(&mut self, line: &str, interner: &Interner) {
+    fn feed<I: Intern>(&mut self, line: &str, sink: &mut I) {
         self.lineno += 1;
-        let mut sink = SharedIntern(interner, 0);
         let line = line.trim_end_matches(['\n', '\r']);
         let mut args = std::mem::take(&mut self.args);
-        let step = match classify(self.lineno, line, &mut args, &mut sink) {
-            Step::Async(record) => self.matcher.feed(self.lineno, &record, &args, &mut sink),
+        let step = match classify(self.lineno, line, &mut args, sink) {
+            Step::Async(record) => self.matcher.feed((self.lineno, line), &record, &args, sink),
             step => step,
         };
         self.collected.push(self.lineno, step);
-        self.inserted += sink.1;
         self.args = recycle(args);
     }
 
@@ -702,7 +661,6 @@ impl LineAssembler {
         }
         let parsed = self.collected.finish();
         st_obs::add("events_parsed", parsed.events.len() as u64);
-        st_obs::add("symbols_interned", self.inserted as u64);
         parsed
     }
 }
@@ -742,6 +700,8 @@ fn recycle<'b>(mut args: Vec<&str>) -> Vec<&'b str> {
 /// [`ParsedTrace`] matches [`parse_reader`] over the same lines.
 pub struct StreamParser {
     interner: Arc<Interner>,
+    /// Strings this stream inserted into `interner`.
+    inserted: usize,
     assembler: LineAssembler,
     polled: usize,
 }
@@ -751,6 +711,7 @@ impl StreamParser {
     pub fn new(interner: Arc<Interner>) -> StreamParser {
         StreamParser {
             interner,
+            inserted: 0,
             assembler: LineAssembler::default(),
             polled: 0,
         }
@@ -759,7 +720,9 @@ impl StreamParser {
     /// Feeds one trace line (trailing `\n`/`\r` are stripped; line
     /// numbers for warnings count from 1 in feed order).
     pub fn feed_line(&mut self, line: &str) {
-        self.assembler.feed(line, &self.interner);
+        let mut sink = SharedIntern(&self.interner, 0);
+        self.assembler.feed(line, &mut sink);
+        self.inserted += sink.1;
     }
 
     /// Iterates over events completed since the previous poll, in
@@ -785,7 +748,9 @@ impl StreamParser {
     /// returns the start-sorted trace, identical to [`parse_reader`]
     /// over the same lines and interner.
     pub fn finish(self) -> ParsedTrace {
-        self.assembler.finish()
+        let parsed = self.assembler.finish();
+        st_obs::add("symbols_interned", self.inserted as u64);
+        parsed
     }
 }
 
@@ -813,8 +778,11 @@ fn truncate(s: &str, max: usize) -> String {
 /// `args` into an [`Event`].
 ///
 /// Unknown calls are kept with interned names, so arbitrary `-e`
-/// selections survive.
-fn call_to_event<I: Intern>(call: &ParsedCall<'_>, args: &[&str], sink: &mut I) -> Event {
+/// selections survive. `None` (nothing interned) when the call's end
+/// `start + dur` does not fit in `u64` microseconds.
+fn call_to_event<I: Intern>(call: &ParsedCall<'_>, args: &[&str], sink: &mut I) -> Option<Event> {
+    let dur = call.dur.unwrap_or(Micros::ZERO);
+    call.start.0.checked_add(dur.0)?;
     let syscall = Syscall::from_known_name(call.name)
         .unwrap_or_else(|| Syscall::Other(sink.intern_str(call.name)));
     let ok = !call.ret.is_error();
@@ -879,14 +847,14 @@ fn call_to_event<I: Intern>(call: &ParsedCall<'_>, args: &[&str], sink: &mut I) 
         Pid(call.pid.unwrap_or(0)),
         syscall,
         call.start,
-        call.dur.unwrap_or(Micros::ZERO),
+        dur,
         sink.intern_str(path),
     );
     event.size = size;
     event.requested = requested;
     event.offset = offset;
     event.ok = ok;
-    event
+    Some(event)
 }
 
 #[cfg(test)]
@@ -1047,6 +1015,57 @@ mod tests {
         }
         let i = Interner::new();
         check(&parse_reader(&mut text.as_bytes(), &i).unwrap(), &i);
+    }
+
+    /// Every parse path's output over `text`, each from a fresh table.
+    fn every_path(text: &str) -> Vec<ParsedTrace> {
+        let mut out = vec![parse_str(text, &Interner::new())];
+        out.extend([2, 3].map(|threads| parse_par(text, &Interner::new(), threads)));
+        out.push(parse_reader(&mut text.as_bytes(), &Interner::new()).unwrap());
+        out
+    }
+
+    #[test]
+    fn duration_past_u64_micros_is_unparsable() {
+        // 18446744073710 s is past u64 microseconds; the unchecked
+        // scaling wrapped it to 0.448384 s.
+        let line = "9  00:00:00.000000 read(3</x>, \"\", 10) = 1 <18446744073710.000000>";
+        for parsed in every_path(&format!("{line}\n")) {
+            assert!(parsed.events.is_empty(), "{:?}", parsed.events);
+            assert_eq!(
+                parsed.warnings,
+                vec![Warning::UnparsableLine {
+                    line: 1,
+                    text: line.to_string()
+                }]
+            );
+        }
+    }
+
+    #[test]
+    fn call_whose_end_overflows_is_unparsable() {
+        // The duration fits in u64 microseconds; start + dur does not.
+        // Complete and merged calls alike, and no event is kept whose
+        // `Event::end` would overflow.
+        let text = "\
+9  08:00:00.000001 read(3</x>, \"\", 10) = 1 <18446744073709.000000>
+9  08:00:00.000002 read(3</y>, <unfinished ...>
+9  08:00:00.000003 <... read resumed> \"\", 10) = 1 <18446744073709.000000>
+9  08:00:00.000004 read(3</z>, \"\", 10) = 1 <0.000001>
+";
+        for parsed in every_path(text) {
+            assert_eq!(parsed.events.len(), 1);
+            assert_eq!(parsed.events[0].end().0, parsed.events[0].start.0 + 1);
+            let lines: Vec<usize> = parsed
+                .warnings
+                .iter()
+                .map(|w| match w {
+                    Warning::UnparsableLine { line, .. } => *line,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect();
+            assert_eq!(lines, [1, 3]);
+        }
     }
 
     #[test]

@@ -41,6 +41,16 @@ fn case_oracle(intervals: &[(usize, Micros, Micros)]) -> u32 {
         .unwrap_or(0)
 }
 
+/// Every statistic of every activity, by name, plus the Eq. 8
+/// denominator: what two equal statistics must agree on bit for bit.
+fn stats_rows(stats: &IoStatistics) -> (Micros, Vec<(String, ActivityStats)>) {
+    let rows = stats
+        .iter()
+        .map(|(_, name, s)| (name.to_string(), s.clone()))
+        .collect();
+    (stats.total_dur(), rows)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -243,6 +253,49 @@ proptest! {
             prop_assert_eq!(s.max_concurrency_exact, max_concurrency_brute(&intervals), "{}", name);
             prop_assert_eq!(s.case_concurrency, case_oracle(with_cases), "{}", name);
         }
+    }
+
+    /// The 2-worker fan-out of the statistics engine (index sort and
+    /// per-activity sweeps) equals the sequential engine exactly, floats
+    /// included, on the full log and on a per-cid slice. The fan-out is
+    /// forced here: generated logs are far below its threshold.
+    #[test]
+    fn statistics_fan_out_equals_sequential_engine(specs in log_strategy(8, 40)) {
+        let log = build_log(&specs);
+        let mapping = CallTopDirs::new(2);
+        let full = LogView::full(&log);
+        let cid = log.interner().get("a");
+        let slice = full.refine(|meta, _| Some(meta.cid) == cid);
+        for view in [&full, &slice] {
+            let sequential = MappedLog::new(&log, &mapping);
+            let fanned = MappedLog::new(&log, &mapping);
+            prop_assert_eq!(
+                stats_rows(&IoStatistics::compute_view_on(&sequential, view, 1)),
+                stats_rows(&IoStatistics::compute_view_on(&fanned, view, 2))
+            );
+            // And the default route agrees with both.
+            prop_assert_eq!(
+                stats_rows(&IoStatistics::compute_view(&fanned, view)),
+                stats_rows(&IoStatistics::compute_view_on(&sequential, view, 1))
+            );
+        }
+    }
+
+    /// The full-log statistics are computed once per mapped log: a
+    /// repeated `compute`, `compute_view` on the identity view and a
+    /// fresh mapped log's `compute` all give the same statistics.
+    #[test]
+    fn full_log_statistics_are_memoized_faithfully(specs in log_strategy(8, 30)) {
+        let log = build_log(&specs);
+        let mapped = MappedLog::new(&log, &CallTopDirs::new(2));
+        let first = stats_rows(&IoStatistics::compute(&mapped));
+        prop_assert_eq!(&first, &stats_rows(&IoStatistics::compute(&mapped)));
+        prop_assert_eq!(
+            &first,
+            &stats_rows(&IoStatistics::compute_view(&mapped, &LogView::full(&log)))
+        );
+        let fresh = MappedLog::new(&log, &CallTopDirs::new(2));
+        prop_assert_eq!(&first, &stats_rows(&IoStatistics::compute(&fresh)));
     }
 
     /// Filtering then mapping equals mapping with a filtering mapping

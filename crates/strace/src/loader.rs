@@ -2,21 +2,16 @@
 //!
 //! The paper's setup produces one trace file per MPI process (Fig. 1);
 //! production runs produce hundreds of files (96 ranks per IOR mode in
-//! Sec. V). Parsing is embarrassingly parallel across files, so the
-//! loader fans the file list out to workers: the calling thread and
-//! spawned threads claim files in turn. Each file is read into memory
-//! once and parsed zero-copy as [`crate::parse_str`] does; when there
-//! are fewer files than workers (e.g. one huge trace), the spare
-//! parallelism is spent *inside* the file via [`crate::parse_par`]
-//! instead.
-//!
-//! A worker interns into a table of its own, with no lock per event,
-//! and notes the order in which each file first used its strings. When
-//! the workers are done, the calling thread walks the files in order
-//! and interns each file's new strings into the shared [`Interner`] in
-//! that order: the order a sequential load interns them in. So a load
-//! on any number of workers equals the sequential load, symbol ids
-//! included.
+//! Sec. V). Parsing is embarrassingly parallel across files: workers
+//! (the calling thread and spawned ones) claim files in turn, read each
+//! into memory once and parse it zero-copy as [`crate::parse_str`]
+//! does. Each worker interns into a table of its own and notes the
+//! order in which each file first used its strings; the calling thread
+//! then interns the files' new strings into the shared [`Interner`]
+//! file by file, in that order — a sequential load's order, so every
+//! worker count loads the same log, symbol ids included. With fewer
+//! files than workers (e.g. one huge trace), the spare parallelism is
+//! spent *inside* the file via [`crate::parse_par`] instead.
 
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -26,7 +21,7 @@ use std::sync::Arc;
 use st_model::{Case, CaseMeta, EventLog, Interner, LocalInterner, Symbol};
 
 use crate::error::{StraceError, Warning};
-use crate::parser::{parse_par, parse_text, read_lines, remap, Intern, ParsedTrace};
+use crate::parser::{parse_par, parse_text, publish, read_lines, remap, Intern, ParsedTrace};
 
 /// Options for [`load_dir`] / [`load_files`].
 #[derive(Debug, Clone)]
@@ -103,26 +98,20 @@ pub fn load_files(
     // any parsing work.
     let mut metas = Vec::with_capacity(files.len());
     for (idx, path) in files.iter().enumerate() {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default();
-        match CaseMeta::parse_trace_file_name(name, &interner) {
-            Some(meta) => metas.push(meta),
+        let name = path.file_name().and_then(|n| n.to_str());
+        let name = name.unwrap_or_default();
+        metas.push(match CaseMeta::parse_trace_file_name(name, &interner) {
+            Some(meta) => meta,
             None if opts.strict_names => {
-                return Err(StraceError::BadFileName {
-                    name: name.to_string(),
-                })
+                let name = name.to_string();
+                return Err(StraceError::BadFileName { name });
             }
-            None => {
-                let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
-                metas.push(CaseMeta {
-                    cid: interner.intern(stem),
-                    host: interner.intern("local"),
-                    rid: idx as u32,
-                });
-            }
-        }
+            None => CaseMeta {
+                cid: interner.intern(path.file_stem().and_then(|s| s.to_str()).unwrap_or("trace")),
+                host: interner.intern("local"),
+                rid: idx as u32,
+            },
+        });
     }
 
     // `requested` is the total worker budget; `n_workers` caps the
@@ -199,9 +188,7 @@ type Parsed = (ParsedTrace, usize, Range<usize>);
 
 /// Parses `files` on `n_workers` workers (the calling thread and
 /// `n_workers - 1` spawned ones), each into its own [`WorkerTable`],
-/// then publishes the tables into `interner` in one batch: file by file
-/// in file order, each file's not-yet-published symbols in its
-/// first-use order.
+/// then publishes the tables into `interner`.
 fn parse_files(
     files: &[PathBuf],
     interner: &Interner,
@@ -217,11 +204,7 @@ fn parse_files(
             sink.file = idx as u32 + 1;
             let from = sink.first_use.len();
             let result = parse_one(path, &mut sink, streaming);
-            let failed = result.is_err();
             parsed.push((idx, result.map(|trace| (trace, from..sink.first_use.len()))));
-            if failed {
-                break;
-            }
         }
         (sink, parsed)
     };
@@ -245,8 +228,7 @@ fn parse_files(
         workers
     });
 
-    // Workers stop at their first failed file, so every file before
-    // the first failed one is parsed: its error comes first in order.
+    // The first failed file's error, in file order, is the load's.
     let mut slots: Vec<Option<Result<Parsed, StraceError>>> =
         (0..files.len()).map(|_| None).collect();
     let mut tables = Vec::with_capacity(workers.len());
@@ -258,34 +240,17 @@ fn parse_files(
     }
     let slots = slots
         .into_iter()
-        .map(|slot| slot.expect("files up to the first failure are parsed"))
+        .map(|slot| slot.expect("every file parsed"))
         .collect::<Result<Vec<_>, _>>()?;
 
-    // Walk the files in order, listing each worker symbol at its first
-    // use, intern the list in one batch, then rewrite every file's
-    // events through its worker's local → shared map.
-    let _span = st_obs::span!("strace.intern.merge");
-    let mut maps: Vec<Vec<usize>> = tables
-        .iter()
-        .map(|t| vec![usize::MAX; t.table.len()])
-        .collect();
-    let mut keys: Vec<&str> = Vec::new();
-    for (_, worker, span) in &slots {
-        let table = &tables[*worker];
-        for &sym in &table.first_use[span.clone()] {
-            let key = &mut maps[*worker][sym.index()];
-            if *key == usize::MAX {
-                *key = keys.len();
-                keys.push(table.table.resolve(sym));
-            }
-        }
-    }
-    let (shared, inserted) = interner.intern_many_inserted(&keys);
-    st_obs::add("symbols_interned", inserted as u64);
-    let maps: Vec<Vec<Symbol>> = maps
-        .iter()
-        .map(|map| map.iter().map(|&key| shared[key]).collect())
-        .collect();
+    // Publish file by file, in file order, each file's symbols in its
+    // first-use order; then rewrite every file's events.
+    let locals: Vec<&LocalInterner> = tables.iter().map(|t| &t.table).collect();
+    let uses = slots.iter().flat_map(|(_, worker, span)| {
+        let first_use = &tables[*worker].first_use[span.clone()];
+        first_use.iter().map(move |&sym| (*worker, sym))
+    });
+    let maps = publish(interner, &locals, uses);
     Ok(slots
         .into_iter()
         .map(|(mut trace, worker, _)| {

@@ -430,6 +430,31 @@ fn split_chunks(text: &str, n: usize) -> Vec<&str> {
     chunks
 }
 
+/// Publishes worker-local string tables into `interner` in one
+/// `intern_many` batch and returns each table's local → shared symbol
+/// map. `uses` lists `(table, local symbol)` pairs in the order the
+/// sequential parse or load first uses them; repeats are skipped.
+pub(crate) fn publish(
+    interner: &Interner,
+    tables: &[&LocalInterner],
+    uses: impl IntoIterator<Item = (usize, Symbol)>,
+) -> Vec<Vec<Symbol>> {
+    let _span = st_obs::span!("strace.intern.merge");
+    let mut maps: Vec<Vec<usize>> = tables.iter().map(|t| vec![usize::MAX; t.len()]).collect();
+    let mut keys = Vec::new();
+    for (t, sym) in uses {
+        let key = &mut maps[t][sym.index()];
+        if *key == usize::MAX {
+            *key = keys.len();
+            keys.push(tables[t].resolve(sym));
+        }
+    }
+    let (shared, inserted) = interner.intern_many_inserted(&keys);
+    st_obs::add("symbols_interned", inserted as u64);
+    let to_shared = |map: &Vec<usize>| map.iter().map(|&key| shared[key]).collect();
+    maps.iter().map(to_shared).collect()
+}
+
 /// Rewrites the symbols of `event`, ids of a local table, through
 /// `map` (local id → shared symbol).
 #[inline]
@@ -503,39 +528,29 @@ pub fn parse_par(text: &str, interner: &Interner, threads: usize) -> ParsedTrace
         });
 
     // Global line offsets per chunk.
-    let mut offsets = Vec::with_capacity(chunk_parses.len());
-    let mut total_lines = 0usize;
-    for chunk in &chunk_parses {
-        offsets.push(total_lines);
-        total_lines += chunk.line_count;
-    }
+    let offsets: Vec<usize> = (chunk_parses.iter())
+        .scan(0, |lines, chunk| {
+            Some(std::mem::replace(lines, *lines + chunk.line_count))
+        })
+        .collect();
 
     // Reduce 1: replay deferred unfinished/resumed records across chunk
     // boundaries (FIFO per (pid, name), global order).
     let mut merge_local = LocalInterner::new();
     let mut merged = merge_asyncs(&chunk_parses, &offsets, &mut merge_local);
 
-    // Reduce 2: publish the thread-local string tables to the shared
-    // interner with one batched `intern_many` call, then rewrite event
-    // symbols. A table's insertion order is its chunk's first-use
+    // Reduce 2: publish the thread-local string tables, then rewrite
+    // event symbols. A table's insertion order is its chunk's first-use
     // order, so the chunk tables followed by the merge table are the
     // sequential pass's first-use order.
-    let intern_span = st_obs::span!("strace.intern.merge");
     let tables: Vec<&LocalInterner> = locals.iter().chain([&merge_local]).collect();
-    let keys: Vec<&str> = tables
-        .iter()
-        .flat_map(|t| (0..t.len() as u32).map(|i| t.resolve(Symbol(i))))
-        .collect();
-    let (shared, inserted) = interner.intern_many_inserted(&keys);
-    st_obs::add("symbols_interned", inserted as u64);
+    let uses = tables.iter().enumerate();
+    let uses = uses.flat_map(|(t, table)| (0..table.len() as u32).map(move |i| (t, Symbol(i))));
+    let maps = publish(interner, &tables, uses);
     let runs = chunk_parses.iter_mut().map(|c| &mut c.collected.events);
-    let mut offset = 0;
-    for (events, table) in runs.chain([&mut merged.events]).zip(tables) {
-        let map = &shared[offset..offset + table.len()];
+    for (events, map) in runs.chain([&mut merged.events]).zip(&maps) {
         events.iter_mut().for_each(|(_, ev)| remap(ev, map));
-        offset += table.len();
     }
-    drop(intern_span);
 
     // Reduce 3: merge the sorted per-chunk runs (plus the merged-event
     // run) by (start, global line).
@@ -556,9 +571,12 @@ pub fn parse_par(text: &str, interner: &Interner, threads: usize) -> ParsedTrace
     let mut warnings = Vec::new();
     let mut suppressed = merged.suppressed;
     for (chunk, &offset) in chunk_parses.iter_mut().zip(&offsets) {
-        for w in chunk.collected.warnings.drain(..) {
-            warnings.push(shift_warning(w, offset));
-        }
+        let shifted = chunk
+            .collected
+            .warnings
+            .drain(..)
+            .map(|w| shift_warning(w, offset));
+        warnings.extend(shifted);
         suppressed += chunk.collected.suppressed;
     }
     warnings.extend(merged.warnings);

@@ -39,29 +39,12 @@ impl Default for WriteOptions {
 /// Allocates stable descriptor numbers per path, mimicking how a real
 /// process reuses fd slots (first file gets 3, and so on).
 #[derive(Default)]
-struct FdAlloc {
-    map: HashMap<Symbol, u32>,
-    next: u32,
-}
+struct FdAlloc(HashMap<Symbol, u32>);
 
 impl FdAlloc {
-    fn new() -> Self {
-        FdAlloc {
-            map: HashMap::new(),
-            next: 3,
-        }
-    }
-
     fn fd(&mut self, path: Symbol) -> u32 {
-        match self.map.get(&path) {
-            Some(&fd) => fd,
-            None => {
-                let fd = self.next;
-                self.next += 1;
-                self.map.insert(path, fd);
-                fd
-            }
-        }
+        let next = 3 + self.0.len() as u32;
+        *self.0.entry(path).or_insert(next)
     }
 }
 
@@ -72,7 +55,7 @@ pub fn write_case<W: Write>(
     out: &mut W,
     opts: &WriteOptions,
 ) -> io::Result<()> {
-    let mut fds = FdAlloc::new();
+    let mut fds = FdAlloc::default();
     // (timestamp, sequence, text) records; sequence keeps emission stable
     // for equal stamps.
     let mut records: Vec<(Micros, usize, String)> = Vec::with_capacity(case.events.len() + 1);

@@ -366,6 +366,7 @@ fn main() {
     };
     let first_compute =
         |log: &EventLog, mapping: &dyn Mapping| first_compute_on(log, mapping, None);
+    // A row's leading fields; the caller closes the object.
     let stats_row = |log: &EventLog, mapping: &dyn Mapping, key: &str, value: usize| {
         let (dt, activities, events) = first_compute(log, mapping);
         let ns_per_event = dt.as_nanos() as f64 / events as f64;

@@ -25,8 +25,9 @@
 //!   [`parser::parse_str`], and [`parser::StreamParser`] feeds it one
 //!   line at a time for live ingest;
 //! * [`loader`] — loading a directory of `<cid>_<host>_<rid>.st` files
-//!   into one [`st_model::EventLog`], parallelizing across files and —
-//!   when files are fewer than workers — across chunks within a file;
+//!   into one [`st_model::EventLog`], parallelizing across files (output
+//!   identical to a sequential load, symbol ids included) and — when
+//!   files are fewer than workers — across chunks within a file;
 //! * [`writer`] — the inverse: emitting events as authentic strace text,
 //!   used by the simulator substrate and by round-trip property tests.
 //!
